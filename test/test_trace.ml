@@ -243,6 +243,250 @@ let test_chrome_write_file () =
       | Ok doc -> Alcotest.(check bool) "file parses" true (Json.member "traceEvents" doc <> None)
       | Error msg -> Alcotest.failf "written file invalid: %s" msg)
 
+(* ---------------- golden launch traces ---------------- *)
+
+(* End-to-end launches through the host runtime, pinned event by event:
+   the ordered (cat, name, phase, ts, dur) of every launch, load,
+   kernel, transfer, async and shard event, then each recorded launch's
+   cost breakdown, device by device.  Any change to the launch path
+   that moves a simulated nanosecond or reorders a phase shows up
+   here.  On a mismatch the actual lines are printed to stderr, ready
+   to paste back after an intended change. *)
+
+let golden_cats = [ "launch"; "load"; "kernel"; "transfer"; "async"; "shard" ]
+
+let kind_tag = function
+  | Trace.Begin -> "B"
+  | Trace.End -> "E"
+  | Trace.Instant -> "i"
+  | Trace.Counter -> "C"
+  | Trace.Complete -> "X"
+
+let golden_lines (ctx : Polybench.Harness.ctx) (tr : Trace.t) : string list =
+  let events =
+    List.filter_map
+      (fun e ->
+        if List.mem e.Trace.ev_cat golden_cats then
+          Some
+            (Printf.sprintf "%s %s %s %.17g %.17g" e.Trace.ev_cat e.Trace.ev_name
+               (kind_tag e.Trace.ev_kind) e.Trace.ev_ts_ns e.Trace.ev_dur_ns)
+        else None)
+      (Trace.events tr)
+  in
+  let rt = ctx.Polybench.Harness.rt in
+  let stats =
+    List.concat
+      (List.init (Hostrt.Rt.num_devices rt) (fun d ->
+           List.rev_map
+             (fun (s : Gpusim.Driver.launch_stats) ->
+               let b = s.Gpusim.Driver.st_breakdown in
+               Printf.sprintf
+                 "stats dev%d %s issue=%.17g mem=%.17g barrier=%.17g total=%.17g ns=%.17g \
+                  bytes=%.17g zc=%.17g div=%.17g blocks=%d/%d"
+                 d s.Gpusim.Driver.st_entry b.Gpusim.Costmodel.bd_issue_cycles
+                 b.Gpusim.Costmodel.bd_mem_cycles b.Gpusim.Costmodel.bd_barrier_cycles
+                 b.Gpusim.Costmodel.bd_total_cycles b.Gpusim.Costmodel.bd_time_ns
+                 b.Gpusim.Costmodel.bd_global_bytes b.Gpusim.Costmodel.bd_zerocopy_bytes
+                 b.Gpusim.Costmodel.bd_divergence s.Gpusim.Driver.st_blocks_simulated
+                 s.Gpusim.Driver.st_blocks_total)
+             (Hostrt.Rt.device rt d).Hostrt.Rt.dev_driver.Gpusim.Driver.launches))
+  in
+  events @ stats
+
+let check_golden name (expected : string list) (actual : string list) =
+  if expected <> actual then begin
+    prerr_endline ("actual " ^ name ^ ":");
+    List.iter (fun l -> Printf.eprintf "      %S;\n" l) actual
+  end;
+  Alcotest.(check (list string)) name expected actual
+
+module H = Polybench.Harness
+
+let axpy_n = 256
+
+(* Run [source]'s [entry] (n, x, y) on a fresh, traced runtime. *)
+let golden_run ?(devices = 1) ?faults ~name ~entry source : string list =
+  let ctx = H.create ~devices () in
+  H.set_sampling ctx None;
+  Option.iter (fun rules -> H.set_faults ctx ~seed:7 rules) faults;
+  let x = H.alloc_f32 ctx axpy_n and y = H.alloc_f32 ctx axpy_n in
+  H.fill_f32 ctx x axpy_n (fun i -> float_of_int (i mod 7) *. 0.5);
+  H.fill_f32 ctx y axpy_n (fun i -> float_of_int (i mod 3));
+  let p = H.prepare_omp ctx ~name source in
+  let tr = H.enable_trace ctx in
+  H.call_omp p entry [ H.vint axpy_n; H.fptr x; H.fptr y ];
+  golden_lines ctx tr
+
+(* One target region offloaded twice: the first launch takes the full
+   three-phase path, the second the resident-module fast path. *)
+let solo_src =
+  {|
+void twice(int n, float x[], float y[])
+{
+  for (int r = 0; r < 2; r++) {
+    #pragma omp target teams distribute parallel for num_teams(4) num_threads(64) \
+        map(to: n, x[0:n]) map(tofrom: y[0:n])
+    for (int i = 0; i < n; i++)
+      y[i] = y[i] + 2.0f * x[i];
+  }
+}
+|}
+
+let nowait_src =
+  {|
+void later(int n, float x[], float y[])
+{
+  #pragma omp target teams distribute parallel for nowait num_teams(4) num_threads(64) \
+      map(to: n, x[0:n]) map(tofrom: y[0:n])
+  for (int i = 0; i < n; i++)
+    y[i] = y[i] + 2.0f * x[i];
+  #pragma omp taskwait
+}
+|}
+
+let sharded_src =
+  {|
+void sharded(int n, float x[], float y[])
+{
+  #pragma omp target teams distribute parallel for num_teams(4) num_threads(64) \
+      map(to: n, x[0:n]) map(tofrom: y[0:n])
+  for (int i = 0; i < n; i++)
+    y[i] = y[i] + 2.0f * x[i];
+}
+|}
+
+let golden_solo_expected =
+  [
+    "transfer HtoD B 180006003.63636363 0";
+    "transfer HtoD E 180021005.85858583 0";
+    "transfer HtoD B 180027008.58585855 0";
+    "transfer HtoD E 180042577.47474745 0";
+    "transfer HtoD B 180048580.20202017 0";
+    "transfer HtoD E 180064149.09090906 0";
+    "launch load B 180064154.5454545 0";
+    "load module_load B 180064154.5454545 0";
+    "load module_load E 180226106.5454545 0";
+    "launch load E 180226106.5454545 0";
+    "launch parameter_preparation B 180226106.5454545 0";
+    "launch parameter_preparation E 180226106.5454545 0";
+    "launch launch B 180226106.5454545 0";
+    "kernel twice_kernel0 B 180226106.5454545 0";
+    "kernel launch_counters C 180238181.06802395 0";
+    "kernel twice_kernel0 E 180238181.06802395 0";
+    "launch launch E 180238181.06802395 0";
+    "transfer DtoH B 180238182.88620576 0";
+    "transfer DtoH E 180253751.77509466 0";
+    "transfer HtoD B 180271759.95691282 0";
+    "transfer HtoD E 180286762.17913502 0";
+    "transfer HtoD B 180292764.90640774 0";
+    "transfer HtoD E 180308333.79529664 0";
+    "transfer HtoD B 180314336.52256936 0";
+    "transfer HtoD E 180329905.41145825 0";
+    "load module_resident i 180329910.86600369 0";
+    "launch launch_fast_path i 180329910.86600369 0";
+    "launch launch B 180329910.86600369 0";
+    "kernel twice_kernel0 B 180329910.86600369 0";
+    "kernel launch_counters C 180341985.38857314 0";
+    "kernel twice_kernel0 E 180341985.38857314 0";
+    "launch launch E 180341985.38857314 0";
+    "transfer DtoH B 180341987.20675495 0";
+    "transfer DtoH E 180357556.09564385 0";
+    "stats dev0 twice_kernel0 issue=68.680000000000007 mem=63.406080000000003 barrier=0 total=68.680000000000007 ns=74.522569444444457 bytes=1761.2800000000002 zc=0 div=1 blocks=4/4";
+    "stats dev0 twice_kernel0 issue=68.680000000000007 mem=63.406080000000003 barrier=0 total=68.680000000000007 ns=74.522569444444457 bytes=1761.2800000000002 zc=0 div=1 blocks=4/4";
+  ]
+
+let golden_nowait_expected =
+  [
+    "launch load B 180000007.27272725 0";
+    "load module_load B 180000007.27272725 0";
+    "load module_load E 180161959.27272725 0";
+    "launch load E 180161959.27272725 0";
+    "async stream_create i 180162959.27272725 0";
+    "async stream_create i 180163959.27272725 0";
+    "async stream_create i 180164959.27272725 0";
+    "async stream_create i 180165959.27272725 0";
+    "async enqueue i 180165959.27272725 0";
+    "launch parameter_preparation B 180165959.27272725 0";
+    "async HtoD X 180173459.27272725 15002.222222208977";
+    "async HtoD X 180188461.49494946 15568.888888895512";
+    "async HtoD X 180204030.38383836 15568.888888895512";
+    "launch parameter_preparation E 180188459.27272725 0";
+    "launch launch B 180188459.27272725 0";
+    "async later_kernel0 X 180219599.27272725 74.522569447755814";
+    "kernel launch_counters C 180200459.27272725 0";
+    "launch launch E 180200459.27272725 0";
+    "async DtoH X 180219673.7952967 15568.888888895512";
+    "async taskwait i 180213960.18181816 0";
+    "async device_sync i 180235242.68418559 0";
+    "stats dev0 later_kernel0 issue=68.680000000000007 mem=63.406080000000003 barrier=0 total=68.680000000000007 ns=74.522569444444457 bytes=1761.2800000000002 zc=0 div=1 blocks=4/4";
+  ]
+
+let golden_sharded_expected =
+  [
+    "transfer HtoD B 360006001.81818187 0";
+    "transfer HtoD E 360021004.04040408 0";
+    "transfer HtoD B 360027006.76767689 0";
+    "transfer HtoD E 360042575.65656579 0";
+    "transfer HtoD B 360048578.38383859 0";
+    "transfer HtoD E 360064147.27272749 0";
+    "transfer HtoD B 360070152.72727311 0";
+    "transfer HtoD E 360085154.94949532 0";
+    "transfer HtoD B 360091154.94949532 0";
+    "transfer HtoD E 360106723.83838421 0";
+    "transfer HtoD B 360112723.83838421 0";
+    "transfer HtoD E 360128292.72727311 0";
+    "launch load B 360128292.72727311 0";
+    "load module_load B 360128292.72727311 0";
+    "load module_load E 360290264.72727311 0";
+    "launch load E 360290264.72727311 0";
+    "launch parameter_preparation B 360290264.72727311 0";
+    "launch parameter_preparation E 360290264.72727311 0";
+    "async stream_create i 360291264.72727311 0";
+    "launch load B 360291264.72727311 0";
+    "load module_load B 360291264.72727311 0";
+    "load module_load E 360453236.72727311 0";
+    "launch load E 360453236.72727311 0";
+    "launch parameter_preparation B 360453236.72727311 0";
+    "launch parameter_preparation E 360453236.72727311 0";
+    "async stream_create i 360454236.72727311 0";
+    "shard shard_plan i 360454236.72727311 0";
+    "launch launch B 360454236.72727311 0";
+    "async sharded_kernel0 X 360466236.72727311 1736.1111111044884";
+    "kernel launch_counters C 360466236.72727311 0";
+    "launch launch E 360466236.72727311 0";
+    "launch launch B 360466236.72727311 0";
+    "launch launch E 360466236.72727311 0";
+    "shard shard_host_fallback i 360466236.72727311 0";
+    "async DtoH X 360469482.18181854 15284.444444417953";
+    "async HtoD X 360484766.62626296 15002.222222208977";
+    "async HtoD X 360499768.84848517 15568.888888895512";
+    "async HtoD X 360515337.73737407 15568.888888895512";
+    "async device_sync i 360530906.62626296 0";
+    "async device_sync i 360530906.62626296 0";
+    "transfer DtoH B 360530908.44444484 0";
+    "transfer DtoH E 360546477.33333373 0";
+    "stats dev0 sharded_kernel0 issue=34.340000000000003 mem=1600 barrier=0 total=1600 ns=1736.1111111111111 bytes=880.6400000000001 zc=0 div=1 blocks=2/2";
+  ]
+
+let test_golden_solo () =
+  check_golden "solo launch twice" golden_solo_expected
+    (golden_run ~name:"golden_solo" ~entry:"twice" solo_src)
+
+let test_golden_nowait () =
+  check_golden "target nowait" golden_nowait_expected
+    (golden_run ~name:"golden_nowait" ~entry:"later" nowait_src)
+
+(* Two devices, a fatal fault on the second launch (the secondary's
+   shard): that shard re-runs on the host, the primary stays alive. *)
+let test_golden_sharded () =
+  let faults =
+    match Hostrt.Faults.parse "launch:nth=2,kind=fatal" with
+    | Ok r -> r
+    | Error m -> Alcotest.fail m
+  in
+  check_golden "2-device shard, secondary dies" golden_sharded_expected
+    (golden_run ~devices:2 ~faults ~name:"golden_sharded" ~entry:"sharded" sharded_src)
+
 let () =
   Alcotest.run "trace"
     [
@@ -275,5 +519,11 @@ let () =
           Alcotest.test_case "event shape" `Quick test_chrome_export_shape;
           Alcotest.test_case "Complete as ph X" `Quick test_chrome_export_complete;
           Alcotest.test_case "write_file" `Quick test_chrome_write_file;
+        ] );
+      ( "golden launch trace",
+        [
+          Alcotest.test_case "solo launch twice" `Quick test_golden_solo;
+          Alcotest.test_case "target nowait" `Quick test_golden_nowait;
+          Alcotest.test_case "2-device shard, secondary dies" `Quick test_golden_sharded;
         ] );
     ]
