@@ -790,8 +790,9 @@ let run_memshift_variant ?(trace = false) ?faults ?(source = None) (app : ms_app
   (* block-sampled launches conservatively dirty the device write epoch,
      so elision is only meaningful (and only measured) unsampled *)
   (match variant with
-  | Ms_elide -> Polybench.Harness.set_elide ctx true
-  | Ms_zerocopy -> Polybench.Harness.set_zerocopy ctx true
+  | Ms_elide -> Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide)
+  | Ms_zerocopy ->
+    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Zerocopy)
   | Ms_auto -> Polybench.Harness.set_mem_mode ctx Hostrt.Mempolicy.Auto
   | Ms_copy | Ms_host -> ());
   let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
@@ -1183,8 +1184,7 @@ let serve_bench ~smoke () =
       cf_max_inflight = 8;
       cf_generations = 2;
       cf_seed = 42;
-      cf_elide = true;
-      cf_mem_policy = None;
+      cf_mem_policy = Some (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
       cf_resident_cap_bytes = None;
       cf_faults = [];
       cf_fault_seed = 7;
@@ -1555,7 +1555,7 @@ let multidev_bench ~smoke () =
     Polybench.Harness.set_sampling ctx None;
     (* steady-state shape: the warm call re-broadcasts nothing the host
        has not dirtied, so the window is shards + the c traffic *)
-    Polybench.Harness.set_elide ctx true;
+    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
     let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
     (match faults with
     | None -> ()
@@ -1584,7 +1584,7 @@ let multidev_bench ~smoke () =
   let run_dot ?(host_interp = false) ~devices () =
     let ctx = Polybench.Harness.create ~devices () in
     Polybench.Harness.set_sampling ctx None;
-    Polybench.Harness.set_elide ctx true;
+    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
     let open Polybench.Harness in
     let x = alloc_f32 ctx dot_n and y = alloc_f32 ctx dot_n and out = alloc_f32 ctx 1 in
     fill_f32 ctx x dot_n red_fx;

@@ -16,7 +16,7 @@ let read_file path =
   close_in ic;
   s
 
-let compile_cmd input output_dir binary_mode run entry show opencl =
+let compile_cmd input output_dir binary_mode run entry show =
   try
     let source = read_file input in
     let stem = Filename.remove_extension (Filename.basename input) in
@@ -40,15 +40,6 @@ let compile_cmd input output_dir binary_mode run entry show opencl =
     end;
     let files = Ompi.emit_files compiled ~dir:output_dir in
     List.iter (fun f -> Printf.eprintf "wrote %s\n" f) files;
-    if opencl then
-      List.iter
-        (fun (k : Translator.Kernelgen.kernel) ->
-          let path = Filename.concat output_dir (k.Translator.Kernelgen.k_entry ^ ".cl") in
-          let oc = open_out path in
-          output_string oc (Translator.Opencl.of_kernel k);
-          close_out oc;
-          Printf.eprintf "wrote %s (preliminary OpenCL module)\n" path)
-        compiled.Ompi.c_kernels;
     Printf.eprintf "%d kernel file(s) generated (mode: %s)\n"
       (List.length compiled.Ompi.c_kernel_texts)
       binary_mode;
@@ -92,13 +83,10 @@ let entry_arg = Arg.(value & opt string "main" & info [ "e"; "entry" ] ~docv:"FN
 
 let show_arg = Arg.(value & flag & info [ "s"; "show" ] ~doc:"Print the generated files to stdout")
 
-let opencl_arg =
-  Arg.(value & flag & info [ "opencl" ] ~doc:"Also emit OpenCL C kernel files (preliminary back end)")
-
 let cmd =
   let doc = "OMPi-style OpenMP-to-CUDA source-to-source compiler for the simulated Jetson Nano" in
   Cmd.v
     (Cmd.info "ompicc" ~doc)
-    Term.(const compile_cmd $ input_arg $ output_arg $ mode_arg $ run_arg $ entry_arg $ show_arg $ opencl_arg)
+    Term.(const compile_cmd $ input_arg $ output_arg $ mode_arg $ run_arg $ entry_arg $ show_arg)
 
 let () = exit (Cmd.eval cmd)

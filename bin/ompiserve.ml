@@ -7,9 +7,9 @@
 
 open Cmdliner
 
-let run_cmd devices streams inflight generations seed smoke no_elide mem_policy resident_cap
-    faults_spec fault_seed max_retries trace_file =
-  let cf_mem_policy =
+let run_cmd devices streams inflight generations seed smoke mem_policy resident_cap faults_spec
+    fault_seed max_retries trace_file =
+  let mem_policy =
     match mem_policy with
     | None -> None
     | Some spec -> (
@@ -36,9 +36,8 @@ let run_cmd devices streams inflight generations seed smoke no_elide mem_policy 
       cf_max_inflight = inflight;
       cf_generations = generations;
       cf_seed = seed;
-      cf_elide = not no_elide;
-      cf_mem_policy;
-      (* applied after the legacy elide knob, so --mem-policy wins *)
+      cf_mem_policy =
+        (match mem_policy with None -> Serve.default_config.Serve.cf_mem_policy | sel -> sel);
       cf_resident_cap_bytes = resident_cap;
       cf_faults = faults;
       cf_fault_seed = fault_seed;
@@ -74,7 +73,7 @@ let run_cmd devices streams inflight generations seed smoke no_elide mem_policy 
     if r.Serve.rp_elided_pages > 0 then
       Printf.printf "  dirty tracking: %d clean page(s) skipped by partial transfers\n"
         r.Serve.rp_elided_pages;
-    (match cf_mem_policy with
+    (match mem_policy with
     | Some sel ->
       Printf.printf "  mem policy: %s\n" (Hostrt.Mempolicy.sel_name sel);
       List.iter
@@ -134,9 +133,6 @@ let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Arri
 
 let smoke_arg = Arg.(value & flag & info [ "smoke" ] ~doc:"Small CI-sized workload")
 
-let no_elide_arg =
-  Arg.(value & flag & info [ "no-elide" ] ~doc:"Disable the resident cache / transfer elision")
-
 let mem_policy_arg =
   Arg.(
     value
@@ -145,8 +141,8 @@ let mem_policy_arg =
         ~doc:
           "Per-buffer memory-mode policy for every session's persistent data environment: \
            $(b,auto) classifies each buffer copy/elide/zerocopy from its observed history; \
-           $(b,copy), $(b,elide) or $(b,zerocopy) force one mode.  Overrides --no-elide; unset \
-           keeps the legacy elide behaviour")
+           $(b,copy), $(b,elide) or $(b,zerocopy) force one mode.  Unset keeps $(b,elide), \
+           forced")
 
 let resident_cap_arg =
   Arg.(
@@ -189,7 +185,7 @@ let cmd =
     (Cmd.info "ompiserve" ~doc)
     Term.(
       const run_cmd $ devices_arg $ streams_arg $ inflight_arg $ generations_arg $ seed_arg
-      $ smoke_arg $ no_elide_arg $ mem_policy_arg $ resident_cap_arg $ faults_arg $ fault_seed_arg
+      $ smoke_arg $ mem_policy_arg $ resident_cap_arg $ faults_arg $ fault_seed_arg
       $ max_retries_arg $ trace_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -28,10 +28,10 @@
      ranges are registered with the stream dependency tracker so
      zero-copy composes with [--streams].
 
-   The mode comes either from the forced run-level flags ([set_elide] /
-   [set_zerocopy], the PR 5 behaviour) or, under [set_mem_mode Auto],
-   from the per-buffer [Mempolicy] cost model fed by each buffer's
-   observed history.  Every cold map emits a cat:"mem" "policy_decide"
+   The mode comes from the environment's selector ([set_mem_mode]):
+   one forced mode for every buffer (copy by default) or, under [Auto],
+   the per-buffer [Mempolicy] cost model fed by each buffer's observed
+   history.  Every cold map emits a cat:"mem" "policy_decide"
    instant naming the chosen mode and the signals that drove it.
 
    Driver calls made here are fallible under fault injection; they are
@@ -122,9 +122,7 @@ type t = {
   mutable de_sync_range : (Addr.t -> bytes:int -> unit) option;
   mutable de_register_pinned : (Addr.t -> bytes:int -> unit) option;
   mutable de_unregister_pinned : (Addr.t -> bytes:int -> unit) option;
-  mutable de_elide : bool;
-  mutable de_zerocopy : bool;
-  mutable de_auto : bool; (* per-buffer policy decides the mode *)
+  mutable de_mode : Mempolicy.sel; (* forced mode, or Auto: per-buffer policy *)
   mutable de_page_bytes : int; (* dirty-tracking granularity *)
   mutable resident : entry list; (* refcount-0 parked buffers, MRU first *)
   (* Eviction is byte-accounted, not entry-counted: a multiplexing
@@ -160,9 +158,7 @@ let create ~(host : Mem.t) ~(driver : Driver.t) =
     de_sync_range = None;
     de_register_pinned = None;
     de_unregister_pinned = None;
-    de_elide = false;
-    de_zerocopy = false;
-    de_auto = false;
+    de_mode = Mempolicy.Forced Mempolicy.Copy;
     de_page_bytes = default_page_bytes;
     resident = [];
     resident_cap_bytes = default_resident_cap_bytes;
@@ -181,26 +177,9 @@ let dead_reason t = t.de_dead
 
 let set_policy t policy = t.de_policy <- policy
 
-let set_elide t on = t.de_elide <- on
+let set_mem_mode t (sel : Mempolicy.sel) = t.de_mode <- sel
 
-let set_zerocopy t on = t.de_zerocopy <- on
-
-let set_mem_mode t (sel : Mempolicy.sel) =
-  match sel with
-  | Mempolicy.Auto ->
-    t.de_auto <- true;
-    t.de_elide <- false;
-    t.de_zerocopy <- false
-  | Mempolicy.Forced m ->
-    t.de_auto <- false;
-    t.de_elide <- Mempolicy.equal_mode m Mempolicy.Elide;
-    t.de_zerocopy <- Mempolicy.equal_mode m Mempolicy.Zerocopy
-
-let mem_mode t : Mempolicy.sel =
-  if t.de_auto then Mempolicy.Auto
-  else if t.de_zerocopy then Mempolicy.Forced Mempolicy.Zerocopy
-  else if t.de_elide then Mempolicy.Forced Mempolicy.Elide
-  else Mempolicy.Forced Mempolicy.Copy
+let is_auto t = match t.de_mode with Mempolicy.Auto -> true | Mempolicy.Forced _ -> false
 
 let set_page_bytes t n =
   if n <= 0 then invalid_arg "Dataenv.set_page_bytes: non-positive page size";
@@ -521,7 +500,10 @@ let drop_resident_overlapping t (haddr : Addr.t) ~bytes =
   t.resident <- keep
 
 (* May this environment have parked buffers at all? *)
-let parking_possible t = t.de_elide || t.de_auto
+let parking_possible t =
+  match t.de_mode with
+  | Mempolicy.Auto | Mempolicy.Forced Mempolicy.Elide -> true
+  | Mempolicy.Forced (Mempolicy.Copy | Mempolicy.Zerocopy) -> false
 
 (* Park a released buffer under the byte budget: LRU entries are evicted
    from the tail until the new total fits.  A buffer larger than the
@@ -613,17 +595,14 @@ let is_present t haddr ~bytes = (not (is_dead t)) && find_containing t haddr ~by
 
 let dev_of e (haddr : Addr.t) = Addr.add e.e_dev (haddr.Addr.off - e.e_host.Addr.off)
 
-(* Decide the transfer mode for a cold map: the forced run-level flags
-   when set, otherwise the per-buffer policy. *)
+(* Decide the transfer mode for a cold map: the forced mode, or under
+   [Auto] the per-buffer policy. *)
 let resolve_mode ?(async = false) t (haddr : Addr.t) ~(bytes : int) ~(mt : map_type)
     ~(always : bool) : Mempolicy.decision =
   let key = buffer_key haddr ~bytes in
-  if not t.de_auto then
-    Mempolicy.forced t.policy ~key
-      (if t.de_zerocopy then Mempolicy.Zerocopy
-       else if t.de_elide then Mempolicy.Elide
-       else Mempolicy.Copy)
-  else
+  match t.de_mode with
+  | Mempolicy.Forced m -> Mempolicy.forced t.policy ~key m
+  | Mempolicy.Auto ->
     Mempolicy.decide t.policy ~key
       {
         Mempolicy.i_bytes = bytes;
@@ -656,6 +635,34 @@ let map_zerocopy t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Addr.t =
   t.entries <- e :: t.entries;
   tr_mem t "zerocopy_map" ~args:[ ("bytes", Perf.Trace.Int bytes) ];
   haddr
+
+(* A cold map onto a fresh device buffer: allocate, register the entry,
+   and for to/tofrom move the host bytes in.  A [`Sync mode] copy leaves
+   the entry synced; a copy enqueued on an [`Async] stream never does (an
+   in-flight range can never be proven clean), so async entries are
+   always copy-mode. *)
+let map_cold t (haddr : Addr.t) ~(bytes : int) (mt : map_type)
+    (copy : [ `Sync of Mempolicy.mode | `Async of Driver.stream ]) : Addr.t =
+  try
+    if parking_possible t then drop_resident_overlapping t haddr ~bytes;
+    let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
+    let mode = match copy with `Sync m -> m | `Async _ -> Mempolicy.Copy in
+    let e = fresh_entry t ~haddr ~bytes ~dev ~mt ~mode in
+    snapshot_map_counters t e;
+    (match (mt, copy) with
+    | (To | Tofrom), `Sync _ ->
+      guard t ~label:"map_h2d" (fun () ->
+          Driver.memcpy_h2d t.driver ~host:t.host ~src:haddr ~dst:dev ~len:bytes);
+      mark_synced t e
+    | (To | Tofrom), `Async stream ->
+      guard t ~label:"map_h2d" (fun () ->
+          Driver.memcpy_h2d_async t.driver ~stream ~host:t.host ~src:haddr ~dst:dev ~len:bytes)
+    | (Alloc | From), _ -> ());
+    t.entries <- e :: t.entries;
+    dev
+  with Resilience.Device_dead reason ->
+    declare_dead t ~reason;
+    haddr
 
 (* Map a host range; returns the corresponding device address. *)
 let map ?(always = false) t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Addr.t =
@@ -739,40 +746,8 @@ let map ?(always = false) t (haddr : Addr.t) ~(bytes : int) (mt : map_type) : Ad
             with Resilience.Device_dead reason ->
               declare_dead t ~reason;
               haddr))
-        | None -> (
-          try
-            drop_resident_overlapping t haddr ~bytes;
-            let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
-            let e = fresh_entry t ~haddr ~bytes ~dev ~mt ~mode:Mempolicy.Elide in
-            snapshot_map_counters t e;
-            (match mt with
-            | To | Tofrom ->
-              guard t ~label:"map_h2d" (fun () ->
-                  Driver.memcpy_h2d t.driver ~host:t.host ~src:haddr ~dst:dev ~len:bytes);
-              mark_synced t e
-            | Alloc | From -> ());
-            t.entries <- e :: t.entries;
-            dev
-          with Resilience.Device_dead reason ->
-            declare_dead t ~reason;
-            haddr))
-      | Mempolicy.Copy -> (
-        try
-          if parking_possible t then drop_resident_overlapping t haddr ~bytes;
-          let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
-          let e = fresh_entry t ~haddr ~bytes ~dev ~mt ~mode:Mempolicy.Copy in
-          snapshot_map_counters t e;
-          (match mt with
-          | To | Tofrom ->
-            guard t ~label:"map_h2d" (fun () ->
-                Driver.memcpy_h2d t.driver ~host:t.host ~src:haddr ~dst:dev ~len:bytes);
-            mark_synced t e
-          | Alloc | From -> ());
-          t.entries <- e :: t.entries;
-          dev
-        with Resilience.Device_dead reason ->
-          declare_dead t ~reason;
-          haddr))
+        | None -> map_cold t haddr ~bytes mt (`Sync Mempolicy.Elide))
+      | Mempolicy.Copy -> map_cold t haddr ~bytes mt (`Sync Mempolicy.Copy))
 
 (* Unmap (end of construct / target exit data).  The map type decides
    whether data flows back on the final release. *)
@@ -841,7 +816,7 @@ let unmap ?(always = false) t (haddr : Addr.t) (mt : map_type) : unit =
              cold copy decision would be self-perpetuating *)
           if
             Mempolicy.equal_mode e.e_mode Mempolicy.Elide
-            || (t.de_auto && e.e_synced)
+            || (is_auto t && e.e_synced)
           then park_resident t e
           else Driver.mem_free t.driver e.e_dev
         with Resilience.Device_dead reason ->
@@ -872,23 +847,7 @@ let map_async ?(always = false) t ~(stream : Driver.stream) (haddr : Addr.t) ~(b
       emit_policy_decide t ~haddr ~bytes d;
       match d.Mempolicy.d_mode with
       | Mempolicy.Zerocopy -> map_zerocopy t haddr ~bytes mt
-      | Mempolicy.Elide | Mempolicy.Copy -> (
-        try
-          if parking_possible t then drop_resident_overlapping t haddr ~bytes;
-          let dev = guard t ~label:"map_alloc" (fun () -> Driver.mem_alloc t.driver bytes) in
-          let e = fresh_entry t ~haddr ~bytes ~dev ~mt ~mode:Mempolicy.Copy in
-          snapshot_map_counters t e;
-          (match mt with
-          | To | Tofrom ->
-            guard t ~label:"map_h2d" (fun () ->
-                Driver.memcpy_h2d_async t.driver ~stream ~host:t.host ~src:haddr ~dst:dev
-                  ~len:bytes)
-          | Alloc | From -> ());
-          t.entries <- e :: t.entries;
-          dev
-        with Resilience.Device_dead reason ->
-          declare_dead t ~reason;
-          haddr))
+      | Mempolicy.Elide | Mempolicy.Copy -> map_cold t haddr ~bytes mt (`Async stream))
 
 let unmap_async ?always:(_ = false) t ~(stream : Driver.stream) (haddr : Addr.t) (mt : map_type) :
     unit =

@@ -109,12 +109,10 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
              (* default-device launches shard across the farm; an
                 explicit device(n) pins the region to that device *)
              if raw < 0 then
-               (Multidev.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args
-                  ~translated:true ())
+               (Multidev.launch rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args ())
                  .Multidev.r_output
              else
-               (Offload.launch_typed rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args
-                  ~translated:true ())
+               (Offload.launch_typed rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args ())
                  .Offload.r_output
            in
            Buffer.add_string ctx.Cinterp.Interp.output output;
@@ -166,7 +164,7 @@ let install_ort_builtins (rt : Rt.t) (ctx : Cinterp.Interp.t) : unit =
         (try
            let output =
              Offload.launch_nowait rt ~dev ~kernel_file ~entry ~num_teams:(int_arg teams)
-               ~num_threads:(int_arg threads) ~maps ~translated:true ()
+               ~num_threads:(int_arg threads) ~maps ()
            in
            Buffer.add_string ctx.Cinterp.Interp.output output;
            Value.of_int 1

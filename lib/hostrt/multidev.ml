@@ -105,32 +105,10 @@ type dctx = {
 
 exception Not_shardable
 
-let check_alive (device : Rt.device) : unit =
-  match Dataenv.dead_reason device.Rt.dev_dataenv with
-  | Some reason -> raise (Resilience.Device_dead reason)
-  | None -> ()
-
-let resilient (rt : Rt.t) (driver : Driver.t) ~(artifact : Nvcc.artifact) ~label f =
-  Resilience.run ~clock:rt.Rt.clock ?trace:rt.Rt.trace ~policy:rt.Rt.fault_policy
-    ~on_fault:(fun _site kind ->
-      match kind with
-      | Faults.Corrupt_cache ->
-        Nvcc.invalidate ~jit_cache:driver.Driver.jit_cache ~modules:driver.Driver.modules artifact
-      | Faults.Transient | Faults.Fatal -> ())
-    ~label f
-
 let tr_instant (rt : Rt.t) ?(args = []) name =
   match rt.Rt.trace with
   | Some tr -> Perf.Trace.instant tr ~cat:"shard" name ~args
   | None -> ()
-
-(* Sharded launches keep the paper's three-phase launch trace schema:
-   per-device load and parameter-preparation spans, one launch span per
-   shard. *)
-let phase (rt : Rt.t) ?(args = []) (name : string) (f : unit -> 'a) : 'a =
-  match rt.Rt.trace with
-  | Some tr -> Perf.Trace.with_span tr ~args ~cat:"launch" name f
-  | None -> f ()
 
 let shard_stream (d : Rt.device) : Driver.stream =
   match d.Rt.dev_shard_stream with
@@ -160,9 +138,9 @@ let single_result (dev : int) (r : Offload.result) : result =
    [ctx_arr.(0)] is the primary; [bounds] pairs each context with its
    [lo, hi) block range. *)
 let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dctx array)
-    ~(bounds : (int * int) array) ~(extents : Dataenv.extent list) ~(grid : Simt.dim3)
-    ~(block : Simt.dim3) ~(entry : string) ~(args : Offload.arg list) ~(total_blocks : int)
-    ~(translated : bool) ~(unmap_secondaries : unit -> unit) : result =
+    ~(bounds : (int * int) array) ~(extents : Dataenv.extent list) ~(num_teams : int)
+    ~(num_threads : int) ~(entry : string) ~(args : Offload.arg list)
+    ~(unmap_secondaries : unit -> unit) : result =
   let host = rt.Rt.host_mem in
   let n = Array.length ctx_arr in
   let out = Buffer.create 256 in
@@ -186,7 +164,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
         Driver.salvage_d2h driver ~host ~src ~dst ~len
       else begin
         try
-          resilient rt driver ~artifact:c.c_artifact ~label:"shard_d2h" (fun () ->
+          Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"shard_d2h" (fun () ->
               Driver.memcpy_d2h_async driver ~stream:c.c_stream ~host ~src ~dst ~len);
           arb :=
             (x.Dataenv.x_host.Addr.off + lo, len, c.c_stream.Driver.str_done_ns, driver.Driver.ordinal)
@@ -225,7 +203,7 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
             ]
       end;
       try
-        resilient rt driver ~artifact:c.c_artifact ~label:"shard_h2d" (fun () ->
+        Offload.resilient rt c.c_dev ~artifact:c.c_artifact ~label:"shard_h2d" (fun () ->
             Driver.memcpy_h2d_async driver ~stream:c.c_stream ~host
               ~src:(Addr.add x.Dataenv.x_host lo) ~dst:(Addr.add dbase lo) ~len);
         (* the copy changed the device image behind the launch counters'
@@ -259,19 +237,11 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
     in
     Counters.set_pinned_table counters pins;
     counters.Counters.blocks_total <- hi - lo;
-    let entry_fn = Driver.get_function c.c_modul entry in
     let host_values =
-      List.map2
-        (fun (_, pty) a ->
-          match a with
-          | Offload.Scalar v -> Value.cast (Cty.decay pty) v
-          | Offload.Mapped haddr -> (
-            match Cty.decay pty with
-            | Cty.Ptr elt -> Value.ptr ~ty:elt haddr
-            | ty ->
-              Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s" (Cty.show ty)))
-        entry_fn.Minic.Ast.f_params args
+      Offload.coerce_args ~entry ~translate:(fun _ haddr -> haddr)
+        (Offload.entry_params c.c_modul entry) args
     in
+    let grid, block = Rt.geometry ~num_teams ~num_threads in
     Simt.launch ~spec:driver.Driver.spec
       ~mem:{ Simt.dm_global = driver.Driver.global; dm_host = Some host }
       ~source:c.c_modul.Driver.lm_source
@@ -328,23 +298,9 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
                 Option.iter (fun ival -> h2d_from_host c x dbase ival) atomic_unions.(xi))
           extents
       end;
-      let occupancy_penalty =
-        if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0
-      in
       let stats =
-        phase rt "launch"
-          ~args:
-            [
-              ("device", Perf.Trace.Int c.c_dev.Rt.dev_id);
-              ("shard_lo", Perf.Trace.Int lo);
-              ("shard_hi", Perf.Trace.Int hi);
-            ]
-          (fun () ->
-            resilient rt c.c_dev.Rt.dev_driver ~artifact:c.c_artifact ~label:"launch" (fun () ->
-                Driver.launch_kernel_async c.c_dev.Rt.dev_driver ~stream:c.c_stream ~modul:c.c_modul
-                  ~entry ~grid ~block ~args:c.c_values ~install_builtins:Devrt.Api.install
-                  ~block_filter:(fun b -> b >= lo && b < hi)
-                  ~logical_blocks:(hi - lo) ~occupancy_penalty ()))
+        Offload.launch_phase rt c.c_dev ~artifact:c.c_artifact ~modul:c.c_modul ~entry ~num_teams
+          ~num_threads ~values:c.c_values ~shard:(lo, hi) ~stream:c.c_stream ()
       in
       Buffer.add_string out (Driver.take_output c.c_dev.Rt.dev_driver);
       ran := (i, c, stats) :: !ran;
@@ -459,15 +415,14 @@ let run_shards (rt : Rt.t) ~(primary : Rt.device) ~(pctx : dctx) ~(ctx_arr : dct
   { r_shards = List.rev !shards; r_stats; r_output = Buffer.contents out }
 
 let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(num_teams : int)
-    ~(num_threads : int) ~(args : Offload.arg list) ?(translated = true) () : result =
+    ~(num_threads : int) ~(args : Offload.arg list) () : result =
   let primary = Rt.device rt dev in
-  check_alive primary;
+  Offload.check_alive primary;
   let single () =
     single_result dev
-      (Offload.launch_typed rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args ~translated ())
+      (Offload.launch_typed rt ~dev ~kernel_file ~entry ~num_teams ~num_threads ~args ())
   in
-  let grid, block = Rt.geometry ~num_teams ~num_threads in
-  let total_blocks = Simt.dim3_total grid in
+  let total_blocks = Simt.dim3_total (fst (Rt.geometry ~num_teams ~num_threads)) in
   let secondaries = List.filter (fun d -> d.Rt.dev_id <> primary.Rt.dev_id) (Rt.live_devices rt) in
   (* Sharding needs >1 live device, >1 block, no block sampling (sampled
      counters under-report written intervals), and every mapped operand
@@ -499,7 +454,7 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
     | Some extents ->
       (* ---- phase 1: broadcast ------------------------------------- *)
       List.iter (fun x -> Dataenv.refresh_host primary.Rt.dev_dataenv x.Dataenv.x_host) extents;
-      check_alive primary;
+      Offload.check_alive primary;
       let secondaries =
         List.filter
           (fun s ->
@@ -518,52 +473,26 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
           secondaries
       in
       let primary_artifact = Rt.find_kernel rt ~dev:primary.Rt.dev_id kernel_file in
-      (* Build one launch context per participating device: load the
-         module, coerce the arguments against the kernel's parameter
-         types, resolve each extent's device image. *)
+      (* Build one launch context per participating device: phases 1
+         and 2 (never the solo fast path: each sharded launch loads
+         afresh), and each extent's device image. *)
       let mk_ctx (d : Rt.device) : dctx =
-        let driver = d.Rt.dev_driver in
         let artifact =
           match Hashtbl.find_opt d.Rt.dev_kernels kernel_file with
           | Some a -> a
           | None -> primary_artifact
         in
-        let modul =
-          phase rt "load"
-            ~args:[ ("device", Perf.Trace.Int d.Rt.dev_id); ("file", Perf.Trace.Str kernel_file) ]
-            (fun () ->
-              resilient rt driver ~artifact ~label:"load" (fun () ->
-                  Driver.load_module driver artifact))
-        in
-        let entry_fn = Driver.get_function modul entry in
-        let params = entry_fn.Minic.Ast.f_params in
-        if List.length params <> List.length args then
-          Rt.ort_error "kernel '%s' expects %d parameters, got %d" entry (List.length params)
-            (List.length args);
-        let values =
-          phase rt "parameter_preparation"
-            ~args:[ ("nargs", Perf.Trace.Int (List.length args)) ]
-            (fun () ->
-              List.map2
-                (fun (_, pty) a ->
-                  match a with
-                  | Offload.Scalar v -> Value.cast (Cty.decay pty) v
-                  | Offload.Mapped haddr -> (
-                    let daddr = Dataenv.lookup_exn d.Rt.dev_dataenv haddr in
-                    match Cty.decay pty with
-                    | Cty.Ptr elt -> Value.ptr ~ty:elt daddr
-                    | ty ->
-                      Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s"
-                        (Cty.show ty)))
-                params args)
-        in
+        let modul = Offload.load_phase rt d ~kernel_file ~artifact in
+        let values = Offload.param_phase rt d ~modul ~entry args in
         let allocs =
           Array.of_list
             (List.map
                (fun x ->
                  let daddr = Dataenv.lookup_exn d.Rt.dev_dataenv x.Dataenv.x_host in
                  if daddr.Addr.space <> Addr.Global then None
-                 else Some (daddr, Option.value ~default:(-1) (Driver.alloc_id_of driver daddr)))
+                 else
+                   let id = Driver.alloc_id_of d.Rt.dev_driver daddr in
+                   Some (daddr, Option.value ~default:(-1) id))
                extents)
         in
         {
@@ -610,7 +539,7 @@ let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(
               ("total_blocks", Perf.Trace.Int total_blocks);
               ("entry", Perf.Trace.Str entry);
             ];
-        run_shards rt ~primary ~pctx ~ctx_arr ~bounds ~extents ~grid ~block ~entry ~args
-          ~total_blocks ~translated ~unmap_secondaries
+        run_shards rt ~primary ~pctx ~ctx_arr ~bounds ~extents ~num_teams ~num_threads ~entry ~args
+          ~unmap_secondaries
       end
   end

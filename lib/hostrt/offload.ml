@@ -47,29 +47,105 @@ let resilient (rt : Rt.t) (device : Rt.device) ~(artifact : Nvcc.artifact) ~labe
       | Faults.Transient | Faults.Fatal -> ())
     ~label f
 
-(* Phase 1 (loading), shared by every launch flavour: locate the kernel
-   file and load (JIT if PTX) the module, retry-wrapped. *)
-let load_phase (rt : Rt.t) (device : Rt.device) ~(kernel_file : string) :
-    Nvcc.artifact * Driver.loaded_module =
-  let artifact = Rt.find_kernel rt ~dev:device.Rt.dev_id kernel_file in
-  let modul =
-    phase rt "load"
-      ~args:[ ("kernel_file", Perf.Trace.Str kernel_file) ]
-      (fun () ->
-        resilient rt device ~artifact ~label:"load" (fun () ->
-            Driver.load_module device.Rt.dev_driver artifact))
+(* Phase 1 (loading), shared by every launch flavour: load (JIT if PTX)
+   the kernel file's module on [device], retry-wrapped. *)
+let load_phase (rt : Rt.t) (device : Rt.device) ~(kernel_file : string)
+    ~(artifact : Nvcc.artifact) : Driver.loaded_module =
+  phase rt "load"
+    ~args:
+      [ ("kernel_file", Perf.Trace.Str kernel_file); ("device", Perf.Trace.Int device.Rt.dev_id) ]
+    (fun () ->
+      resilient rt device ~artifact ~label:"load" (fun () ->
+          Driver.load_module device.Rt.dev_driver artifact))
+
+(* Phase 2 (parameter preparation), shared by every launch flavour:
+   coerce the arguments against the kernel entry's declared parameter
+   types, so pointer arithmetic inside the kernel uses the right element
+   sizes.  [translate i haddr] gives the device image of the i-th
+   argument's host address (a data-environment lookup, a map on a
+   stream, or the identity for host execution). *)
+let coerce_args ~(entry : string) ~(translate : int -> Addr.t -> Addr.t)
+    (params : (string * Cty.t) list) (args : arg list) : Value.t list =
+  if List.length params <> List.length args then
+    Rt.ort_error "kernel '%s' expects %d parameters, got %d" entry (List.length params)
+      (List.length args);
+  List.mapi
+    (fun i ((_, pty), a) ->
+      match a with
+      | Scalar v -> Value.cast (Cty.decay pty) v
+      | Mapped haddr -> (
+        let daddr = translate i haddr in
+        match Cty.decay pty with
+        | Cty.Ptr elt -> Value.ptr ~ty:elt daddr
+        | ty ->
+          Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s" (Cty.show ty)))
+    (List.combine params args)
+
+let entry_params (modul : Driver.loaded_module) (entry : string) : (string * Cty.t) list =
+  (Driver.get_function modul entry).Minic.Ast.f_params
+
+let param_span (rt : Rt.t) ~(nargs : int) (f : unit -> Value.t list) : Value.t list =
+  phase rt "parameter_preparation" ~args:[ ("nargs", Perf.Trace.Int nargs) ] f
+
+(* Phase 2 against [device]'s data environment, in its span unless
+   [~span:false] (the fast path). *)
+let param_phase ?(span = true) (rt : Rt.t) (device : Rt.device) ~(modul : Driver.loaded_module)
+    ~(entry : string) (args : arg list) : Value.t list =
+  let coerce () =
+    coerce_args ~entry
+      ~translate:(fun _ haddr -> Dataenv.lookup_exn device.Rt.dev_dataenv haddr)
+      (entry_params modul entry) args
   in
-  (artifact, modul)
+  if span then param_span rt ~nargs:(List.length args) coerce else coerce ()
+
+(* Phase 3 (launch), shared by every launch flavour: grid geometry, the
+   occupancy penalty of translated kernels, the block filter (evenly spaced
+   sampling, or a shard's [lo, hi) charged as [hi - lo] logical blocks),
+   then the retry-wrapped driver launch — on [stream] when given. *)
+let launch_phase (rt : Rt.t) (device : Rt.device) ~(artifact : Nvcc.artifact)
+    ~(modul : Driver.loaded_module) ~(entry : string) ~(num_teams : int) ~(num_threads : int)
+    ~(values : Value.t list) ?(shard : (int * int) option)
+    ?(stream : Driver.stream option) () : Driver.launch_stats =
+  let grid, block = Rt.geometry ~num_teams ~num_threads in
+  let total_blocks = Simt.dim3_total grid in
+  let occupancy_penalty = rt.Rt.translated_kernel_penalty total_blocks in
+  let block_filter, logical_blocks, span_args =
+    match shard with
+    | Some (lo, hi) ->
+      ( Some (fun b -> b >= lo && b < hi),
+        Some (hi - lo),
+        [
+          ("device", Perf.Trace.Int device.Rt.dev_id);
+          ("shard_lo", Perf.Trace.Int lo);
+          ("shard_hi", Perf.Trace.Int hi);
+        ] )
+    | None ->
+      ( Rt.sampling_filter ~total_blocks rt.Rt.sample_max_blocks,
+        None,
+        [ ("entry", Perf.Trace.Str entry) ] )
+  in
+  let driver = device.Rt.dev_driver in
+  phase rt "launch" ~args:span_args (fun () ->
+      resilient rt device ~artifact ~label:"launch" (fun () ->
+          let install_builtins = Devrt.Api.install in
+          match stream with
+          | None ->
+            Driver.launch_kernel driver ~modul ~entry ~grid ~block ~args:values ~install_builtins
+              ?block_filter ?logical_blocks ~occupancy_penalty ()
+          | Some stream ->
+            Driver.launch_kernel_async driver ~stream ~modul ~entry ~grid ~block ~args:values
+              ~install_builtins ?block_filter ?logical_blocks ~occupancy_penalty ()))
 
 (* Steady-state fast path: when the same (kernel file, entry) launches
    again and its module is still resident in the driver, the cached
-   artifact/module handles are reused and the loading phase collapses to
-   nothing — not even the residency-check driver call — leaving only the
-   launch phase.  Validity is re-checked against the driver's module
-   table on every hit, so context resets and corrupt-cache invalidation
-   (which clear/remove modules) transparently fall back to the full
-   path.  A module_resident instant is still emitted so traces keep
-   showing the residency of the relaunch. *)
+   artifact/module handles are reused and the loading and
+   parameter-preparation phases collapse to their work alone — no load,
+   not even the residency-check driver call, and no phase spans —
+   leaving only the launch phase.  Validity is re-checked against the
+   driver's module table on every hit, so context resets and
+   corrupt-cache invalidation (which clear/remove modules) transparently
+   fall back to the full path.  A module_resident instant is still
+   emitted so traces keep showing the residency of the relaunch. *)
 let try_fast_path (rt : Rt.t) (device : Rt.device) ~(kernel_file : string) ~(entry : string) :
     Rt.launch_cache option =
   match device.Rt.dev_launch_cache with
@@ -88,78 +164,34 @@ let try_fast_path (rt : Rt.t) (device : Rt.device) ~(kernel_file : string) ~(ent
     Some c
   | _ -> None
 
-(* (Re)fill the cache slot after a full-path launch, sizing the
-   parameter buffer for this entry. *)
-let cache_launch (device : Rt.device) ~kernel_file ~entry ~artifact ~modul ~(nargs : int) : unit =
-  device.Rt.dev_launch_cache <-
-    Some
-      {
-        Rt.lc_file = kernel_file;
-        lc_entry = entry;
-        lc_artifact = artifact;
-        lc_modul = modul;
-        lc_params = Array.make (max 1 nargs) (Value.of_int 0);
-        lc_hits = 0;
-      }
-
-(* Write the translated arguments into the cache's preallocated buffer
-   (resizing only if the arity changed) and hand back the launch list. *)
-let reuse_params (c : Rt.launch_cache) (values : Value.t list) : Value.t list =
-  let n = List.length values in
-  if Array.length c.Rt.lc_params <> n then c.Rt.lc_params <- Array.make (max 1 n) (Value.of_int 0);
-  List.iteri (fun i v -> c.Rt.lc_params.(i) <- v) values;
-  Array.to_list c.Rt.lc_params
-
-(* [translated] marks kernels produced by the OMPi translator (as
-   opposed to hand-written CUDA); they carry the extra runtime machinery
-   and the occupancy penalty hook. *)
-let launch (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string) ~(num_teams : int)
-    ~(num_threads : int) ~(args : arg list) ?(translated = true) ?(block_filter : (int -> bool) option)
-    () : result =
+(* Solo launch on one device, the path the generated ort_offload calls
+   take. *)
+let launch_typed (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string)
+    ~(num_teams : int) ~(num_threads : int) ~(args : arg list) () : result =
   let device = Rt.device rt dev in
   check_alive device;
-  let fast = try_fast_path rt device ~kernel_file ~entry in
-  (* Phase 1: loading (skipped entirely on the fast path). *)
-  let artifact, modul =
-    match fast with
-    | Some c -> (c.Rt.lc_artifact, c.Rt.lc_modul)
-    | None -> load_phase rt device ~kernel_file
-  in
-  (* Phase 2: parameter preparation (on the fast path the translation
-     lands in the cache's preallocated buffer, without the phase span). *)
-  let mk_values () =
-    List.map
-      (function
-        | Scalar v -> v
-        | Mapped haddr ->
-          let daddr = Dataenv.lookup_exn device.Rt.dev_dataenv haddr in
-          Value.ptr ~ty:Cty.Void daddr)
-      args
-  in
-  let values =
-    match fast with
-    | Some c -> reuse_params c (mk_values ())
+  let artifact, modul, values =
+    match try_fast_path rt device ~kernel_file ~entry with
+    | Some c ->
+      let modul = c.Rt.lc_modul in
+      (c.Rt.lc_artifact, modul, param_phase ~span:false rt device ~modul ~entry args)
     | None ->
-      phase rt "parameter_preparation" ~args:[ ("nargs", Perf.Trace.Int (List.length args)) ] mk_values
-  in
-  if Option.is_none fast then
-    cache_launch device ~kernel_file ~entry ~artifact ~modul ~nargs:(List.length args);
-  (* Phase 3: launch. *)
-  let grid, block = Rt.geometry ~num_teams ~num_threads in
-  let total_blocks = Simt.dim3_total grid in
-  let occupancy_penalty = if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0 in
-  let block_filter =
-    match block_filter with
-    | Some _ -> block_filter
-    | None -> Rt.sampling_filter ~total_blocks rt.Rt.sample_max_blocks
+      let artifact = Rt.find_kernel rt ~dev kernel_file in
+      let modul = load_phase rt device ~kernel_file ~artifact in
+      let values = param_phase rt device ~modul ~entry args in
+      device.Rt.dev_launch_cache <-
+        Some
+          {
+            Rt.lc_file = kernel_file;
+            lc_entry = entry;
+            lc_artifact = artifact;
+            lc_modul = modul;
+            lc_hits = 0;
+          };
+      (artifact, modul, values)
   in
   let stats =
-    phase rt "launch"
-      ~args:[ ("entry", Perf.Trace.Str entry) ]
-      (fun () ->
-        resilient rt device ~artifact ~label:"launch" (fun () ->
-            Driver.launch_kernel device.Rt.dev_driver ~modul ~entry ~grid ~block ~args:values
-              ~install_builtins:Devrt.Api.install ?block_filter ~occupancy_penalty ()))
+    launch_phase rt device ~artifact ~modul ~entry ~num_teams ~num_threads ~values ()
   in
   { r_stats = stats; r_output = Driver.take_output device.Rt.dev_driver }
 
@@ -197,57 +229,37 @@ let access_sets (maps : async_map list) : Async.range list * Async.range list =
    effects are eager).  Raises [Resilience.Device_dead] like the sync
    path; the caller takes the host-fallback route. *)
 let launch_nowait (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string)
-    ~(num_teams : int) ~(num_threads : int) ~(maps : async_map list) ?(translated = true) () :
-    string =
+    ~(num_teams : int) ~(num_threads : int) ~(maps : async_map list) () : string =
   let device = Rt.device rt dev in
   check_alive device;
   let denv = device.Rt.dev_dataenv in
   (* Phase 1 (loading) is a CPU-side driver call: synchronous, as in the
      sync path. *)
-  let artifact, modul = load_phase rt device ~kernel_file in
-  let entry_fn = Driver.get_function modul entry in
-  let params = entry_fn.Minic.Ast.f_params in
+  let artifact = Rt.find_kernel rt ~dev kernel_file in
+  let modul = load_phase rt device ~kernel_file ~artifact in
+  let params = entry_params modul entry in
+  (* checked before enqueueing, so a malformed call leaves the stream
+     tracker untouched *)
   if List.length params <> List.length maps then
     Rt.ort_error "kernel '%s' expects %d parameters, got %d maps" entry (List.length params)
       (List.length maps);
+  let args = List.map (fun m -> Mapped m.am_base) maps in
+  let maps_arr = Array.of_list maps in
   let reads, writes = access_sets maps in
   Async.submit device.Rt.dev_async ~label:entry ~reads ~writes (fun stream ->
-      (* Phase 2: map the operands on this stream and coerce the device
-         addresses against the kernel's parameter types. *)
+      (* Phase 2: map the operands on this stream while coercing. *)
       let values =
-        phase rt "parameter_preparation"
-          ~args:[ ("nargs", Perf.Trace.Int (List.length maps)) ]
-          (fun () ->
-            List.map2
-              (fun (_, pty) m ->
-                let daddr = Dataenv.map_async denv ~stream m.am_base ~bytes:m.am_bytes m.am_map in
-                match Cty.decay pty with
-                | Cty.Ptr elt -> Value.ptr ~ty:elt daddr
-                | ty ->
-                  Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s"
-                    (Cty.show ty))
-              params maps)
+        param_span rt ~nargs:(List.length maps) (fun () ->
+            coerce_args ~entry params args ~translate:(fun i haddr ->
+                let m = maps_arr.(i) in
+                Dataenv.map_async denv ~stream haddr ~bytes:m.am_bytes m.am_map))
       in
       (* The maps may have exhausted their retries and killed the device;
          launching on host addresses would be meaningless. *)
-      (match Dataenv.dead_reason denv with
-      | Some reason -> raise (Resilience.Device_dead reason)
-      | None -> ());
+      check_alive device;
       (* Phase 3: enqueue the launch behind the transfers. *)
-      let grid, block = Rt.geometry ~num_teams ~num_threads in
-      let total_blocks = Simt.dim3_total grid in
-      let occupancy_penalty =
-        if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0
-      in
-      let block_filter = Rt.sampling_filter ~total_blocks rt.Rt.sample_max_blocks in
       let _stats =
-        phase rt "launch"
-          ~args:[ ("entry", Perf.Trace.Str entry) ]
-          (fun () ->
-            resilient rt device ~artifact ~label:"launch" (fun () ->
-                Driver.launch_kernel_async device.Rt.dev_driver ~stream ~modul ~entry ~grid ~block
-                  ~args:values ~install_builtins:Devrt.Api.install ?block_filter ~occupancy_penalty
-                  ()))
+        launch_phase rt device ~artifact ~modul ~entry ~num_teams ~num_threads ~values ~stream ()
       in
       (* Copy-backs, reverse map order (mirrors the sync lowering). *)
       List.iter (fun m -> Dataenv.unmap_async denv ~stream m.am_base m.am_map) (List.rev maps);
@@ -260,61 +272,3 @@ let taskwait (rt : Rt.t) ~(dev : int) : unit = Async.wait_all (Rt.device rt dev)
 (* Device died with regions queued: drop the queue on a coherent
    timeline before running the host fallback. *)
 let quiesce (rt : Rt.t) ~(dev : int) : unit = Async.quiesce (Rt.device rt dev).Rt.dev_async
-
-(* Typed-parameter variant used by OCaml-level callers: the kernel entry
-   declares pointer parameter types; coerce the raw device addresses so
-   that pointer arithmetic inside the kernel uses the right element
-   size. *)
-let launch_typed (rt : Rt.t) ~(dev : int) ~(kernel_file : string) ~(entry : string)
-    ~(num_teams : int) ~(num_threads : int) ~(args : arg list) ?(translated = true)
-    ?(block_filter : (int -> bool) option) () : result =
-  let device = Rt.device rt dev in
-  check_alive device;
-  let fast = try_fast_path rt device ~kernel_file ~entry in
-  let artifact, modul =
-    match fast with
-    | Some c -> (c.Rt.lc_artifact, c.Rt.lc_modul)
-    | None -> load_phase rt device ~kernel_file
-  in
-  let entry_fn = Driver.get_function modul entry in
-  let params = entry_fn.Minic.Ast.f_params in
-  if List.length params <> List.length args then
-    Rt.ort_error "kernel '%s' expects %d parameters, got %d" entry (List.length params)
-      (List.length args);
-  let mk_values () =
-    List.map2
-      (fun (_, pty) a ->
-        match a with
-        | Scalar v -> Value.cast (Cty.decay pty) v
-        | Mapped haddr ->
-          let daddr = Dataenv.lookup_exn device.Rt.dev_dataenv haddr in
-          (match Cty.decay pty with
-          | Cty.Ptr elt -> Value.ptr ~ty:elt daddr
-          | ty -> Rt.ort_error "mapped argument bound to non-pointer kernel parameter %s" (Cty.show ty)))
-      params args
-  in
-  let values =
-    match fast with
-    | Some c -> reuse_params c (mk_values ())
-    | None ->
-      phase rt "parameter_preparation" ~args:[ ("nargs", Perf.Trace.Int (List.length args)) ] mk_values
-  in
-  if Option.is_none fast then
-    cache_launch device ~kernel_file ~entry ~artifact ~modul ~nargs:(List.length args);
-  let grid, block = Rt.geometry ~num_teams ~num_threads in
-  let total_blocks = Simt.dim3_total grid in
-  let occupancy_penalty = if translated then rt.Rt.translated_kernel_penalty total_blocks else 1.0 in
-  let block_filter =
-    match block_filter with
-    | Some _ -> block_filter
-    | None -> Rt.sampling_filter ~total_blocks rt.Rt.sample_max_blocks
-  in
-  let stats =
-    phase rt "launch"
-      ~args:[ ("entry", Perf.Trace.Str entry) ]
-      (fun () ->
-        resilient rt device ~artifact ~label:"launch" (fun () ->
-            Driver.launch_kernel device.Rt.dev_driver ~modul ~entry ~grid ~block ~args:values
-              ~install_builtins:Devrt.Api.install ?block_filter ~occupancy_penalty ()))
-  in
-  { r_stats = stats; r_output = Driver.take_output device.Rt.dev_driver }

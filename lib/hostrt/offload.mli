@@ -15,28 +15,61 @@ type arg =
 
 type result = { r_stats : Driver.launch_stats; r_output : string }
 
-(** Both launch entry points are fault-aware: the load and launch phases
-    retry under the runtime's {!Resilience.policy} (invalidating the JIT
-    cache entry on corrupt-cache faults so the retry recompiles), and
+(** Every launch flavour (solo, [nowait], and each shard of a
+    {!Multidev} launch) runs the same three phase functions below.  They
+    are fault-aware: the load and launch phases retry under the
+    runtime's {!Resilience.policy} (invalidating the JIT cache entry on
+    corrupt-cache faults so the retry recompiles), and
     {!Resilience.Device_dead} is raised immediately when the target
     device has already been declared dead, or when a fatal fault /
     retry exhaustion kills it — the caller then degrades to the host
     path. *)
 
-(** [translated] marks kernels produced by the OMPi translator (they
-    carry the occupancy-penalty hook); hand-written CUDA passes
-    [~translated:false]. *)
-val launch :
-  Rt.t -> dev:int -> kernel_file:string -> entry:string -> num_teams:int -> num_threads:int ->
-  args:arg list -> ?translated:bool -> ?block_filter:(int -> bool) -> unit -> result
+(** @raise Resilience.Device_dead when the device was declared dead *)
+val check_alive : Rt.device -> unit
 
-(** Like {!launch}, but coerces arguments against the kernel entry's
-    declared parameter types so pointer arithmetic inside the kernel
-    uses the right element sizes.  This is the path the generated
-    ort_offload calls take. *)
+(** Retry-wrap a fallible driver call on [device] under the runtime's
+    policy; a corrupt-cache fault invalidates [artifact] first. *)
+val resilient :
+  Rt.t -> Rt.device -> artifact:Nvcc.artifact -> label:string -> (unit -> 'a) -> 'a
+
+(** Phase 1: load (JIT if PTX) [artifact]'s module on the device, in a
+    "load" span carrying [kernel_file] and [device]. *)
+val load_phase :
+  Rt.t -> Rt.device -> kernel_file:string -> artifact:Nvcc.artifact -> Driver.loaded_module
+
+(** Phase 2's coercion: arguments against the kernel's parameter types.
+    [translate i haddr] is the device image of argument [i]'s host
+    address.  @raise Rt.Ort_error on an arity mismatch or a mapped
+    argument bound to a non-pointer parameter *)
+val coerce_args :
+  entry:string -> translate:(int -> Addr.t -> Addr.t) -> (string * Cty.t) list -> arg list ->
+  Value.t list
+
+val entry_params : Driver.loaded_module -> string -> (string * Cty.t) list
+
+(** Phase 2 against the device's data environment, in a
+    "parameter_preparation" span unless [~span:false]. *)
+val param_phase :
+  ?span:bool -> Rt.t -> Rt.device -> modul:Driver.loaded_module -> entry:string -> arg list ->
+  Value.t list
+
+(** Phase 3: geometry, the translated-kernel occupancy penalty, block
+    filter — block sampling, or with [~shard:(lo, hi)] just that block
+    range charged as [hi - lo] logical blocks — and the retry-wrapped
+    driver launch, asynchronous on [stream] when given. *)
+val launch_phase :
+  Rt.t -> Rt.device -> artifact:Nvcc.artifact -> modul:Driver.loaded_module -> entry:string ->
+  num_teams:int -> num_threads:int -> values:Value.t list -> ?shard:int * int ->
+  ?stream:Driver.stream -> unit -> Driver.launch_stats
+
+(** Solo launch on device [dev], the path the generated ort_offload
+    calls take.  A relaunch of the device's last (kernel file, entry)
+    whose module is still resident takes the fast path: no load and no
+    phase spans. *)
 val launch_typed :
   Rt.t -> dev:int -> kernel_file:string -> entry:string -> num_teams:int -> num_threads:int ->
-  args:arg list -> ?translated:bool -> ?block_filter:(int -> bool) -> unit -> result
+  args:arg list -> unit -> result
 
 (** {1 Asynchronous launch ([target ... nowait])} *)
 
@@ -52,7 +85,7 @@ type async_map = { am_base : Addr.t; am_bytes : int; am_map : Dataenv.map_type }
     eager).  Raises {!Resilience.Device_dead} like the sync path. *)
 val launch_nowait :
   Rt.t -> dev:int -> kernel_file:string -> entry:string -> num_teams:int -> num_threads:int ->
-  maps:async_map list -> ?translated:bool -> unit -> string
+  maps:async_map list -> unit -> string
 
 (** Barrier over every queued nowait region of [dev] (ort_taskwait and
     the end-of-data-environment barrier). *)

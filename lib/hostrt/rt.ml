@@ -11,9 +11,9 @@ exception Ort_error of string
 let ort_error fmt = Format.kasprintf (fun s -> raise (Ort_error s)) fmt
 
 (* Steady-state launch cache (one slot per device): the last
-   (kernel file, entry) launched keeps its artifact/module handles and a
-   preallocated parameter buffer so repeated launches of the same kernel
-   skip the loading and parameter-preparation phases.  Offload validates
+   (kernel file, entry) launched keeps its artifact/module handles so
+   repeated launches of the same kernel skip the loading phase and the
+   phase spans.  Offload validates
    residency against the driver's module table before every reuse, so
    context resets and corrupt-cache invalidation fall back to the full
    three-phase path. *)
@@ -22,7 +22,6 @@ type launch_cache = {
   lc_entry : string;
   lc_artifact : Nvcc.artifact;
   lc_modul : Driver.loaded_module;
-  mutable lc_params : Value.t array; (* reused across launches *)
   mutable lc_hits : int;
 }
 
@@ -145,13 +144,6 @@ let set_fault_policy t (policy : Resilience.policy) : unit =
 
 (* Resize every device's stream pool (the --streams N CLI knob). *)
 let set_streams t (n : int) : unit = Array.iter (fun d -> Async.set_streams d.dev_async n) t.devices
-
-(* Unified-memory knobs (the --zerocopy / elision CLI and bench modes). *)
-let set_zerocopy t (on : bool) : unit =
-  Array.iter (fun d -> Dataenv.set_zerocopy d.dev_dataenv on) t.devices
-
-let set_elide t (on : bool) : unit =
-  Array.iter (fun d -> Dataenv.set_elide d.dev_dataenv on) t.devices
 
 (* The --mem-policy knob: per-buffer auto policy or one forced mode, on
    every device (each keeps its own buffer histories). *)

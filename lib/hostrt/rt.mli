@@ -11,16 +11,15 @@ exception Ort_error of string
 val ort_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** Steady-state launch cache (one slot per device): the last
-    (kernel file, entry) launched keeps its artifact/module handles and
-    a preallocated parameter buffer, so repeated launches of the same
-    kernel skip the loading and parameter-preparation phases.  Residency
-    is validated against the driver's module table before every reuse. *)
+    (kernel file, entry) launched keeps its artifact/module handles, so
+    repeated launches of the same kernel skip the loading phase and the
+    phase spans.  Residency is validated against the driver's module
+    table before every reuse. *)
 type launch_cache = {
   lc_file : string;
   lc_entry : string;
   lc_artifact : Nvcc.artifact;
   lc_modul : Driver.loaded_module;
-  mutable lc_params : Value.t array;
   mutable lc_hits : int;
 }
 
@@ -94,16 +93,10 @@ val set_fault_policy : t -> Resilience.policy -> unit
     @raise Invalid_argument if non-positive or tasks are in flight *)
 val set_streams : t -> int -> unit
 
-(** Enable zero-copy mapping on every device (see {!Dataenv.set_zerocopy}). *)
-val set_zerocopy : t -> bool -> unit
-
-(** Enable transfer elision on every device (see {!Dataenv.set_elide}). *)
-val set_elide : t -> bool -> unit
-
 (** Select the memory-mode policy on every device (the [--mem-policy]
     CLI knob): [Auto] decides per buffer via {!Mempolicy}, with each
-    device keeping its own buffer histories; [Forced m] behaves like the
-    corresponding run-level flag. *)
+    device keeping its own buffer histories; [Forced m] uses mode [m] for
+    every buffer. *)
 val set_mem_mode : t -> Mempolicy.sel -> unit
 
 (** Enable/disable the closure JIT on every device (see

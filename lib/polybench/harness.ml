@@ -60,12 +60,9 @@ let driver ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_driver
 
 let dataenv ctx = (Hostrt.Rt.device ctx.rt 0).Hostrt.Rt.dev_dataenv
 
-(* Unified-memory knobs: zero-copy pinned-host mapping and transfer
-   elision (bench memshift toggles these between variants). *)
-let set_zerocopy ctx (on : bool) : unit = Hostrt.Rt.set_zerocopy ctx.rt on
-
-let set_elide ctx (on : bool) : unit = Hostrt.Rt.set_elide ctx.rt on
-
+(* Memory-mode selector: copy, transfer elision, zero-copy pinned-host
+   mapping or the per-buffer policy (bench memshift switches between
+   them per variant). *)
 let set_mem_mode ctx (sel : Hostrt.Mempolicy.sel) : unit = Hostrt.Rt.set_mem_mode ctx.rt sel
 
 (* Closure-JIT knob: the differential tests and the jit bench run the

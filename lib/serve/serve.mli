@@ -69,11 +69,10 @@ type config = {
       (** open-serve-close cycles: generation ≥ 2 re-opens sessions
           against the resident cache *)
   cf_seed : int;  (** arrival-process seed *)
-  cf_elide : bool;
   cf_mem_policy : Hostrt.Mempolicy.sel option;
-      (** per-buffer memory-mode policy applied to every device (see
-          {!Hostrt.Rt.set_mem_mode}); [None] keeps the [cf_elide] legacy
-          knob *)
+      (** memory mode applied to every device (see
+          {!Hostrt.Rt.set_mem_mode}); [None] keeps the runtime default
+          ([Forced Copy]) *)
   cf_resident_cap_bytes : int option;  (** resident-cache byte budget override *)
   cf_faults : Hostrt.Faults.rule list;
   cf_fault_seed : int;
@@ -81,6 +80,8 @@ type config = {
   cf_trace : bool;  (** attach a trace ring and emit cat:"serve" events *)
 }
 
+(** One device, 4 streams, 8 in flight, 2 generations, seed 42, and
+    [Some (Forced Elide)]: sessions reopen against the resident cache. *)
 val default_config : config
 
 (** A mixed default workload: [smoke] keeps it small enough for CI. *)

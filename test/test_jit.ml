@@ -80,8 +80,8 @@ let run_app ?(faults = []) ?streams ?(zerocopy = false) ?(elide = false) (app : 
   Harness.set_sampling ctx None;
   Harness.set_jit ctx jit;
   (match streams with Some k -> Harness.set_streams ctx k | None -> ());
-  if zerocopy then Harness.set_zerocopy ctx true;
-  if elide then Harness.set_elide ctx true;
+  if zerocopy then Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Zerocopy);
+  if elide then Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   (match faults with [] -> () | rules -> Harness.set_faults ctx rules);
   let time, out = app.Suite.ap_run ctx variant ~n in
   { ob_time = time; ob_out = out; ob_log = launch_log ctx }

@@ -36,7 +36,7 @@ let fill_words host (a : Addr.t) words f =
    revival moves only that page and counts the other three as elided. *)
 let test_partial_h2d_single_dirty_page () =
   let env, host, driver, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
@@ -55,7 +55,7 @@ let test_partial_h2d_single_dirty_page () =
    they form one run, so the partial path still beats a full copy. *)
 let test_page_boundary_writes () =
   let env, host, driver, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
@@ -76,7 +76,7 @@ let test_page_boundary_writes () =
    fallback does a whole-extent copy and elides nothing. *)
 let test_partial_falls_back_when_latency_dominates () =
   let env, host, _, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   ignore (De.map env h ~bytes:256 De.To);
@@ -91,7 +91,7 @@ let test_partial_falls_back_when_latency_dominates () =
 (* An untouched host image revives whole-buffer: zero transfers. *)
 let test_clean_remap_elides_whole_buffer () =
   let env, host, _, clock = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
   ignore (De.map env h ~bytes:256 De.To);
@@ -106,7 +106,7 @@ let test_clean_remap_elides_whole_buffer () =
 
 let test_update_to_clean_elides () =
   let env, host, driver, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;
@@ -131,7 +131,7 @@ let test_update_to_clean_elides () =
 
 let test_update_from_clean_elides () =
   let env, host, driver, _ = make () in
-  De.set_elide env true;
+  De.set_mem_mode env (Mp.Forced Mp.Elide);
   De.set_page_bytes env 64;
   let h = Mem.alloc host 256 in
   fill_words host h 64 float_of_int;

@@ -116,7 +116,7 @@ let run_gemm ?(host_interp = false) ?(jit = true) ?(elide = false) ?specs ?fault
   let ctx = Harness.create ~devices ?specs () in
   Harness.set_sampling ctx None;
   Harness.set_jit ctx jit;
-  Harness.set_elide ctx elide;
+  if elide then Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
   (match faults with None -> () | Some rules -> Harness.set_faults ctx ~seed:7 rules);
   let nn = n * n in
   let a = Harness.alloc_f32 ctx nn and b = Harness.alloc_f32 ctx nn in

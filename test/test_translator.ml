@@ -381,24 +381,6 @@ void h(int n, float x[])
     (fails_with
        "void h(int n, float x[]) {\n#pragma omp target teams distribute parallel for dist_schedule(static, 8) schedule(dynamic, 4) map(to: n) map(tofrom: x[0:n])\nfor (int i = 0; i < n; i++) x[i] = i;\n}")
 
-(* ----------------------- OpenCL back end ----------------------- *)
-
-let test_opencl_backend () =
-  let c = compile combined_src in
-  let cl = Opencl.of_kernel (List.hd c.Pipeline.c_kernels) in
-  assert_contains cl "__kernel void f_kernel0";
-  assert_contains cl "__global float *a";
-  assert_contains cl "ocldev_get_distribute_chunk";
-  assert_contains cl "ocldev_get_static_chunk";
-  assert_not_contains cl "cudadev_";
-  (* master/worker kernel: shared memory becomes __local *)
-  let cmw = compile mw_src in
-  let clmw = Opencl.of_kernel (List.hd cmw.Pipeline.c_kernels) in
-  assert_contains clmw "__local";
-  assert_not_contains clmw "__shared__";
-  assert_contains clmw "ocldev_register_parallel";
-  assert_contains clmw "ocldev_workerfunc"
-
 let () =
   Alcotest.run "translator"
     [
@@ -424,7 +406,6 @@ let () =
           Alcotest.test_case "enter/exit/update" `Quick test_enter_exit_update;
           Alcotest.test_case "if clause host fallback" `Quick test_if_clause_fallback;
           Alcotest.test_case "host parallel stripped" `Quick test_host_parallel_stripped;
-          Alcotest.test_case "OpenCL back end" `Quick test_opencl_backend;
         ] );
       ( "diagnostics",
         [
