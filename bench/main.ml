@@ -1,45 +1,17 @@
-(* Benchmark harness: regenerates every figure of the paper's evaluation
-   (Fig. 4a-f) plus ablations for the design choices discussed in the
-   text, and a set of Bechamel micro-benchmarks of the infrastructure
-   itself.
-
-     dune exec bench/main.exe            -- everything
-     dune exec bench/main.exe -- fig4e   -- a single figure
-     dune exec bench/main.exe -- ablate-binmode | ablate-masterworker |
-                                 ablate-schedule | ablate-barrier |
-                                 ablate-sections | micro
-     dune exec bench/main.exe -- trace gemm 256 gemm.json
-                                        -- one traced run + Chrome JSON
-     dune exec bench/main.exe -- overlap [--smoke]
-                                        -- target-nowait pipeline: async vs
-                                           sync vs host, overlap evidence
-     dune exec bench/main.exe -- fault-matrix [--smoke]
-     dune exec bench/main.exe -- jit [--smoke]
-                                        -- closure-JIT vs tree-walking
-                                           interpreter wall clock; fails
-                                           unless one app clears 3x
-     dune exec bench/main.exe -- serve [--smoke]
-                                        -- ompiserve under load: multi-
-                                           stream vs serialized throughput,
-                                           plus a fault-injected leg; every
-                                           response bit-checked
-     dune exec bench/main.exe -- reduction [--smoke]
-                                        -- multi-team tree reduce vs a
-                                           single-team serialized reduce,
-                                           bit-checked against the order-
-                                           exact host model + fault cells
-     dune exec bench/main.exe -- multidev [--smoke]
-                                        -- sharded distribute across 1/2/4
-                                           device farms, bit-checked across
-                                           farm sizes + a secondary-death
-                                           fault cell; gates the 4-device
-                                           gemm speedup at 1.5x
-
-   Times are simulated seconds on the modelled Jetson Nano 2GB (see
-   DESIGN.md for the substitution rules); shapes, not absolute values,
+(* Benchmark harness: the paper's evaluation (Fig. 4a-f), ablations for
+   the design choices discussed in the text, and the gated benches of
+   this reproduction, as one registry of modes (see [registry] at the
+   bottom; any unknown target prints it).  Times are simulated seconds
+   on the modelled Jetson Nano 2GB (see DESIGN.md for the substitution
+   rules) unless a mode's clock is Wall; shapes, not absolute values,
    are the reproduction target. *)
 
 let say fmt = Printf.printf fmt
+
+(* BENCH documents are built with these and printed by the driver. *)
+let num f = Perf.Json.Num f
+
+let int i = Perf.Json.Num (float_of_int i)
 
 (* ------------------------------------------------------------------ *)
 (* Figures 4a-4f                                                        *)
@@ -60,7 +32,34 @@ let run_figure (app : Polybench.Suite.app) =
   say "  [harness wall time: %.1fs]\n" (Unix.gettimeofday () -. t0);
   fig
 
-let figure_by_id id = List.find_opt (fun a -> a.Polybench.Suite.ap_figure = id) Polybench.Suite.all
+(* A fresh harness context simulating every block, configured in this
+   order; its trace ring when [trace]. *)
+let unsampled ?binary_mode ?devices ?streams ?mem_mode ?jit ?(trace = false) ?faults
+    ?(fault_seed = 7) () =
+  let open Polybench.Harness in
+  let ctx = create ?binary_mode ?devices () in
+  set_sampling ctx None;
+  Option.iter (set_streams ctx) streams;
+  Option.iter (set_mem_mode ctx) mem_mode;
+  Option.iter (set_jit ctx) jit;
+  let tr = if trace then Some (enable_trace ctx) else None in
+  Option.iter (set_faults ctx ~seed:fault_seed) faults;
+  (ctx, tr)
+
+(* An ablation cell: [name] of [source] called once as [name(arg, x)]
+   on an [x_len]-float array, in a fresh context; its simulated time. *)
+let time_call ~name source ~arg ~x_len =
+  let open Polybench.Harness in
+  let ctx = create () in
+  let p = prepare_omp ctx ~name source in
+  let x = alloc_f32 ctx x_len in
+  (measure ctx (fun () -> call_omp p name [ vint arg; fptr x ]), ctx)
+
+(* [f] of the cost breakdown of the context's latest launch. *)
+let last_launch ctx f =
+  match (Polybench.Harness.driver ctx).Gpusim.Driver.launches with
+  | s :: _ -> f s.Gpusim.Driver.st_breakdown
+  | [] -> nan
 
 (* ------------------------------------------------------------------ *)
 (* A1: PTX + JIT (cold / warm disk cache) vs CUBIN (paper §3.3)         *)
@@ -145,11 +144,7 @@ let ablate_masterworker () =
       let x = Polybench.Harness.alloc_f32 ctx n in
       Polybench.Harness.fill_f32 ctx x n float_of_int;
       let teams = (n + 127) / 128 in
-      let kernel_time () =
-        match (Polybench.Harness.driver ctx).Gpusim.Driver.launches with
-        | s :: _ -> s.Gpusim.Driver.st_breakdown.Gpusim.Costmodel.bd_time_ns *. 1e-9
-        | [] -> nan
-      in
+      let kernel_time () = last_launch ctx (fun b -> b.Gpusim.Costmodel.bd_time_ns *. 1e-9) in
       Polybench.Harness.(call_omp p "scale_combined" [ vint n; vint teams; fptr x ]);
       let tc = kernel_time () in
       Polybench.Harness.(call_omp p "scale_mw" [ vint n; fptr x ]);
@@ -183,14 +178,7 @@ let ablate_schedule () =
   say "%-20s %14s\n" "schedule" "time (s)";
   List.iter
     (fun sched ->
-      let ctx = Polybench.Harness.create () in
-      let p = Polybench.Harness.prepare_omp ctx ~name:"tri" (schedule_source sched) in
-      let n = 4096 in
-      let x = Polybench.Harness.alloc_f32 ctx n in
-      let t =
-        Polybench.Harness.measure ctx (fun () ->
-            Polybench.Harness.(call_omp p "tri" [ vint n; fptr x ]))
-      in
+      let t, _ = time_call ~name:"tri" (schedule_source sched) ~arg:4096 ~x_len:4096 in
       say "%-20s %14.6f\n" sched t)
     [ "static"; "static, 16"; "dynamic, 16"; "guided, 16" ]
 
@@ -223,18 +211,8 @@ let ablate_barrier () =
   say "%-6s %-6s %14s %16s\n" "N" "X" "time (s)" "barrier cycles";
   List.iter
     (fun nt ->
-      let ctx = Polybench.Harness.create () in
-      let p = Polybench.Harness.prepare_omp ctx ~name:"barbench" (barrier_source nt) in
-      let x = Polybench.Harness.alloc_f32 ctx 128 in
-      let t =
-        Polybench.Harness.measure ctx (fun () ->
-            Polybench.Harness.(call_omp p "barbench" [ vint 2000; fptr x ]))
-      in
-      let barrier_cycles =
-        match (Polybench.Harness.driver ctx).Gpusim.Driver.launches with
-        | s :: _ -> s.Gpusim.Driver.st_breakdown.Gpusim.Costmodel.bd_barrier_cycles
-        | [] -> nan
-      in
+      let t, ctx = time_call ~name:"barbench" (barrier_source nt) ~arg:2000 ~x_len:128 in
+      let barrier_cycles = last_launch ctx (fun b -> b.Gpusim.Costmodel.bd_barrier_cycles) in
       say "%-6d %-6d %14.6f %16.0f\n" nt
         (Gpusim.Spec.barrier_round Gpusim.Spec.jetson_nano_2gb nt)
         t barrier_cycles)
@@ -275,66 +253,11 @@ let ablate_sections () =
     (fun (label, anti) ->
       Devrt.Config.sections_anti_divergence := anti;
       Devrt.Config.reset_sections_stats ();
-      let ctx = Polybench.Harness.create () in
-      let p = Polybench.Harness.prepare_omp ctx ~name:"secbench" sections_source in
-      let x = Polybench.Harness.alloc_f32 ctx 16 in
-      let t =
-        Polybench.Harness.measure ctx (fun () ->
-            Polybench.Harness.(call_omp p "secbench" [ vint 20000; fptr x ]))
-      in
+      let t, _ = time_call ~name:"secbench" sections_source ~arg:20000 ~x_len:16 in
       say "%-28s %14.6f %11d of %-4d\n" label t !Devrt.Config.sections_same_warp_grants
         !Devrt.Config.sections_total_grants)
     [ ("different warps (paper)", true); ("naive shared counter", false) ];
   Devrt.Config.sections_anti_divergence := true
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the infrastructure                      *)
-(* ------------------------------------------------------------------ *)
-
-let micro () =
-  say "\n=== micro: infrastructure benchmarks (real wall time, Bechamel) ===\n";
-  let open Bechamel in
-  let translate_saxpy =
-    Test.make ~name:"translate saxpy (parse+pragma+typecheck+outline)"
-      (Staged.stage (fun () -> ignore (Ompi.compile ~name:"saxpy" saxpy_source)))
-  in
-  let simulate_block =
-    let ctx = Polybench.Harness.create () in
-    let p = Polybench.Harness.prepare_omp ctx ~name:"saxpy" saxpy_source in
-    let n = 1024 in
-    let x = Polybench.Harness.alloc_f32 ctx n and y = Polybench.Harness.alloc_f32 ctx n in
-    Test.make ~name:"simulate saxpy kernel (1024 GPU threads)"
-      (Staged.stage (fun () ->
-           Polybench.Harness.(call_omp p "saxpy" [ vint n; vint 8; vf32 2.0; fptr x; fptr y ])))
-  in
-  let parse_only =
-    Test.make ~name:"parse+pretty gemm OpenMP source"
-      (Staged.stage (fun () ->
-           let prog = Minic.Parser.parse_program Polybench.Gemm.omp_source in
-           ignore (Minic.Pretty.program_to_string prog)))
-  in
-  let benchmark test =
-    let quota = Time.second 0.5 in
-    let cfg = Benchmark.cfg ~limit:200 ~quota ~kde:None () in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let measures = Benchmark.all cfg instances test in
-    let results =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-        Toolkit.Instance.monotonic_clock measures
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] -> say "%-52s %14.1f ns/run\n" name est
-        | _ -> say "%-52s %14s\n" name "n/a")
-      results
-  in
-  List.iter benchmark [ translate_saxpy; simulate_block; parse_only ]
-
-(* ------------------------------------------------------------------ *)
-(* Driver                                                               *)
-(* ------------------------------------------------------------------ *)
 
 let extras () =
   say "\nExtra Unibench applications (beyond the paper's six plots):\n";
@@ -352,19 +275,14 @@ let all_figures () =
 let trace_app name n file =
   match Polybench.Suite.find name with
   | None ->
-    prerr_endline ("trace: unknown application: " ^ name);
+    let known = List.map (fun a -> a.Polybench.Suite.ap_name) Polybench.Suite.(all @ extras) in
     prerr_endline
-      ("  known: "
-      ^ String.concat ", "
-          (List.map
-             (fun a -> a.Polybench.Suite.ap_name)
-             (Polybench.Suite.all @ Polybench.Suite.extras)));
+      ("trace: unknown application: " ^ name ^ "\n  known: " ^ String.concat ", " known);
     exit 2
   | Some app ->
-    let ctx = Polybench.Harness.create () in
-    Polybench.Harness.set_sampling ctx None;
+    let ctx, tr = unsampled ~trace:true () in
+    let tr = Option.get tr in
     Polybench.Harness.set_translated_penalty ctx app.Polybench.Suite.ap_penalty;
-    let tr = Polybench.Harness.enable_trace ctx in
     let time, _ = app.Polybench.Suite.ap_run ctx Polybench.Harness.Ompi_cudadev ~n in
     Perf.Chrome_trace.write_file file tr;
     say "%s n=%d (OMPi CUDADEV): %.6f simulated seconds\n" name n time;
@@ -372,15 +290,62 @@ let trace_app name n file =
     Perf.Report.print_trace_summary tr
 
 (* ------------------------------------------------------------------ *)
-(* Overlap: transfer/compute pipelines with target nowait on streams    *)
+(* Fault plans: rules, and the recovery evidence they must leave        *)
 (* ------------------------------------------------------------------ *)
 
-(* Shared with the fault matrix below: what recovery evidence a fault
-   plan must leave in the Chrome trace JSON. *)
+(* What recovery evidence a fault plan must leave behind. *)
 type fault_expectation =
   | Recover (* retries succeed: backoff events, no fallback, device alive *)
   | Fallback (* device declared dead: host fallback produced the result *)
   | Any (* probabilistic plan: only correctness is asserted *)
+
+(* The events of a trace as exported to Chrome JSON: the file, not the
+   live ring, is the interface under test. *)
+let trace_events tr =
+  match Perf.Json.of_string (Perf.Chrome_trace.to_string tr) with
+  | Error msg -> failwith ("trace JSON does not parse: " ^ msg)
+  | Ok doc -> (
+    match Option.bind (Perf.Json.member "traceEvents" doc) Perf.Json.to_list_opt with
+    | None -> failwith "trace JSON has no traceEvents"
+    | Some evs -> evs)
+
+let fault_event_count evs name =
+  List.length
+    (List.filter
+       (fun e ->
+         Option.bind (Perf.Json.member "cat" e) Perf.Json.to_string_opt = Some "fault"
+         && Option.bind (Perf.Json.member "name" e) Perf.Json.to_string_opt = Some name)
+       evs)
+
+let fault_rules spec =
+  match Hostrt.Faults.parse spec with
+  | Ok rules -> rules
+  | Error msg -> failwith (Printf.sprintf "bad fault spec '%s': %s" spec msg)
+
+(* Whether the exported events [evs] and the device state of [ctx] show
+   the evidence [expect] asks for. *)
+let fault_evidence expect evs ctx =
+  let count = fault_event_count evs in
+  let dead = Polybench.Harness.device_dead ctx in
+  match expect with
+  | Recover ->
+    count "fault_injected" >= 1 && count "retry_backoff" >= 1 && count "host_fallback" = 0
+    && count "device_dead" = 0 && not dead
+  | Fallback ->
+    count "fault_injected" >= 1 && count "host_fallback" >= 1 && count "device_dead" = 1 && dead
+  | Any -> true
+
+let expect_name = function Recover -> "recover" | Fallback -> "fallback" | Any -> "any"
+
+(* Checks one fault cell and returns its verdict word for the row. *)
+let fault_verdict ~check what ~correct ~evidence =
+  let v = if not correct then "wrong result" else if evidence then "ok" else "no evidence" in
+  check (v = "ok") (what ^ ": " ^ v);
+  v
+
+(* ------------------------------------------------------------------ *)
+(* Overlap: transfer/compute pipelines with target nowait on streams    *)
+(* ------------------------------------------------------------------ *)
 
 (* A tiled matrix-vector pipeline (atax-style): every tile maps its own
    slab of A in, runs a matvec over it, and maps its slice of y out.
@@ -418,12 +383,9 @@ type overlap_mode =
   | Ov_sync (* same program without nowait *)
   | Ov_host (* directives stripped, sequential host reference *)
 
-let run_pipeline ?(trace = false) ?faults mode ~n ~rows ~tiles =
-  let ctx = Polybench.Harness.create () in
-  Polybench.Harness.set_sampling ctx None;
-  (match mode with Ov_async s -> Polybench.Harness.set_streams ctx s | Ov_sync | Ov_host -> ());
-  let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
-  (match faults with Some rules -> Polybench.Harness.set_faults ctx ~seed:7 rules | None -> ());
+let run_pipeline ?trace ?faults mode ~n ~rows ~tiles =
+  let streams = match mode with Ov_async s -> Some s | Ov_sync | Ov_host -> None in
+  let ctx, tr = unsampled ?streams ?trace ?faults () in
   let total = tiles * rows in
   let a = Polybench.Harness.alloc_f32 ctx (total * n) in
   let x = Polybench.Harness.alloc_f32 ctx n in
@@ -443,16 +405,7 @@ let run_pipeline ?(trace = false) ?faults mode ~n ~rows ~tiles =
   in
   (t, Polybench.Harness.read_f32_array ctx y total, tr, ctx)
 
-(* The exported Chrome JSON is the interface under test: cat:"async"
-   "X" events carry ts/dur in microseconds and tid = stream id. *)
-let trace_events tr =
-  match Perf.Json.of_string (Perf.Chrome_trace.to_string tr) with
-  | Error msg -> failwith ("trace JSON does not parse: " ^ msg)
-  | Ok doc -> (
-    match Option.bind (Perf.Json.member "traceEvents" doc) Perf.Json.to_list_opt with
-    | None -> failwith "trace JSON has no traceEvents"
-    | Some evs -> evs)
-
+(* cat:"async" "X" events carry ts/dur in microseconds and tid = stream id. *)
 let async_intervals evs =
   List.filter_map
     (fun e ->
@@ -477,59 +430,29 @@ let count_overlapping_pairs intervals =
   in
   go 0 intervals
 
-let fault_event_count evs name =
-  List.length
-    (List.filter
-       (fun e ->
-         Option.bind (Perf.Json.member "cat" e) Perf.Json.to_string_opt = Some "fault"
-         && Option.bind (Perf.Json.member "name" e) Perf.Json.to_string_opt = Some name)
-       evs)
-
 (* Faults landing in queued stream work: recovery must neither change
    the answer nor leave async state behind. *)
-let overlap_fault_cell ~n ~rows ~tiles (y_ref : float array) (spec, expect) : bool =
-  let rules =
-    match Hostrt.Faults.parse spec with
-    | Ok rules -> rules
-    | Error msg -> failwith (Printf.sprintf "bad spec '%s': %s" spec msg)
+let overlap_fault_cell ~check ~n ~rows ~tiles (y_ref : float array) (spec, expect) =
+  let _, y, tr, ctx =
+    run_pipeline ~trace:true ~faults:(fault_rules spec) (Ov_async 4) ~n ~rows ~tiles
   in
-  let _, y, tr, ctx = run_pipeline ~trace:true ~faults:rules (Ov_async 4) ~n ~rows ~tiles in
   let evs = trace_events (Option.get tr) in
-  let count = fault_event_count evs in
-  let correct = y = y_ref in
-  let injected = count "fault_injected" in
-  let evidence_ok =
-    match expect with
-    | Recover ->
-      injected >= 1 && count "retry_backoff" >= 1 && count "host_fallback" = 0
-      && not (Polybench.Harness.device_dead ctx)
-    | Fallback ->
-      injected >= 1 && count "host_fallback" >= 1 && Polybench.Harness.device_dead ctx
-    | Any -> true
-  in
-  let ok = correct && evidence_ok in
-  say "  fault %-18s %-9s inj=%-3d %s\n" spec
-    (match expect with Recover -> "recover" | Fallback -> "fallback" | Any -> "any")
-    injected
-    (if ok then "ok" else if correct then "FAIL(no evidence)" else "FAIL(wrong result)");
-  ok
+  let evidence = fault_evidence expect evs ctx in
+  say "  fault %-18s %-9s inj=%-3d %s\n" spec (expect_name expect)
+    (fault_event_count evs "fault_injected")
+    (fault_verdict ~check ("fault " ^ spec) ~correct:(y = y_ref) ~evidence)
 
-let overlap ~smoke () =
+let overlap ~smoke ~check =
   say "=== overlap: target nowait pipeline, async vs sync vs host reference ===\n";
   say "(tiled matvec, rows x n per tile; times are simulated seconds)\n";
   (* One row per device thread: 128 rows of 64 columns keeps the tile's
      matvec time close to its 32 KiB HtoD time, which is where a
      double-buffered pipeline pays off most. *)
   let n = 64 and rows = 128 in
-  let failures = ref 0 in
-  let check ok what = if not ok then (incr failures; say "  FAIL: %s\n" what) in
   let row ?(streams = 4) ~assertive tiles =
     let _, y_host, _, _ = run_pipeline Ov_host ~n ~rows ~tiles in
     let t_sync, y_sync, _, _ = run_pipeline Ov_sync ~n ~rows ~tiles in
     let t_async, y_async, tr, _ = run_pipeline ~trace:true (Ov_async streams) ~n ~rows ~tiles in
-    (match Sys.getenv_opt "OVERLAP_TRACE" with
-    | Some file -> Perf.Chrome_trace.write_file file (Option.get tr)
-    | None -> ());
     let pairs = count_overlapping_pairs (async_intervals (trace_events (Option.get tr))) in
     let identical = y_async = y_sync && y_sync = y_host in
     let speedup = t_sync /. t_async in
@@ -541,32 +464,29 @@ let overlap ~smoke () =
       check (speedup > 1.1) (Printf.sprintf "tiles=%d: speedup %.2fx <= 1.1x" tiles speedup);
       check (pairs >= 1) (Printf.sprintf "tiles=%d: no overlapping async intervals in trace" tiles)
     end;
-    y_host
+    (y_host, tr)
   in
-  let y_ref =
+  (* the asserted row's reference result and trace *)
+  let y_ref, tr =
     if smoke then row ~assertive:true 6
     else begin
       ignore (row ~assertive:false 2);
       ignore (row ~assertive:false 4);
-      let y_ref = row ~assertive:true 8 in
+      let asserted = row ~assertive:true 8 in
       ignore (row ~assertive:false 16);
       say "  -- stream-pool ablation at tiles=8 (1 stream serializes, no overlap) --\n";
       ignore (row ~streams:1 ~assertive:false 8);
       ignore (row ~streams:2 ~assertive:false 8);
       ignore (row ~streams:8 ~assertive:false 8);
-      y_ref
+      asserted
     end
   in
   say "  -- faults injected into queued stream work (differential vs host) --\n";
   let tiles = if smoke then 6 else 8 in
   List.iter
-    (fun cell -> if not (overlap_fault_cell ~n ~rows ~tiles y_ref cell) then incr failures)
+    (overlap_fault_cell ~check ~n ~rows ~tiles y_ref)
     [ ("launch:nth=2", Recover); ("transfer:from=3", Fallback) ];
-  if !failures > 0 then begin
-    say "overlap: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "overlap: PASS\n"
+  (None, tr)
 
 (* ------------------------------------------------------------------ *)
 (* Fault matrix: differential correctness under injected faults         *)
@@ -598,57 +518,19 @@ let smoke_cells =
       List.mem spec [ "transfer:nth=2"; "jit_compile:nth=1"; "alloc:nth=1"; "launch:from=1" ])
     fault_cells
 
-let fault_cell app (spec, mode, expect) : bool =
+let fault_cell ~check app (spec, mode, expect) =
+  let name = app.Polybench.Suite.ap_name in
   let n = List.hd app.Polybench.Suite.ap_validate_sizes in
-  let rules =
-    match Hostrt.Faults.parse spec with
-    | Ok rules -> rules
-    | Error msg -> failwith (Printf.sprintf "bad spec '%s': %s" spec msg)
-  in
-  let ctx = Polybench.Harness.create ~binary_mode:mode () in
-  Polybench.Harness.set_sampling ctx None;
-  let tr = Polybench.Harness.enable_trace ctx in
-  Polybench.Harness.set_faults ctx ~seed:7 rules;
+  let ctx, tr = unsampled ~binary_mode:mode ~trace:true ~faults:(fault_rules spec) () in
   let _, got = app.Polybench.Suite.ap_run ctx Polybench.Harness.Ompi_cudadev ~n in
   let err = Polybench.Harness.max_rel_error got (app.Polybench.Suite.ap_reference ~n) in
-  let correct = err <= 1e-3 in
-  (* count recovery events in the exported JSON, not the live ring: the
-     acceptance criterion is that recovery is visible in the trace file *)
-  let count =
-    match Perf.Json.of_string (Perf.Chrome_trace.to_string tr) with
-    | Error msg -> failwith ("trace JSON does not parse: " ^ msg)
-    | Ok doc -> (
-      match Option.bind (Perf.Json.member "traceEvents" doc) Perf.Json.to_list_opt with
-      | None -> failwith "trace JSON has no traceEvents"
-      | Some evs ->
-        fun name ->
-          List.length
-            (List.filter
-               (fun e ->
-                 Option.bind (Perf.Json.member "cat" e) Perf.Json.to_string_opt = Some "fault"
-                 && Option.bind (Perf.Json.member "name" e) Perf.Json.to_string_opt = Some name)
-               evs))
-  in
-  let injected = count "fault_injected" in
-  let evidence_ok =
-    match expect with
-    | Recover ->
-      injected >= 1 && count "retry_backoff" >= 1 && count "host_fallback" = 0
-      && count "device_dead" = 0
-      && not (Polybench.Harness.device_dead ctx)
-    | Fallback ->
-      injected >= 1 && count "host_fallback" >= 1 && count "device_dead" = 1
-      && Polybench.Harness.device_dead ctx
-    | Any -> true
-  in
-  let ok = correct && evidence_ok in
-  say "  %-14s %-28s n=%-5d %-9s err=%.1e inj=%-3d %s\n" app.Polybench.Suite.ap_name spec n
-    (match expect with Recover -> "recover" | Fallback -> "fallback" | Any -> "any")
-    err injected
-    (if ok then "ok" else if correct then "FAIL(no evidence)" else "FAIL(wrong result)");
-  ok
+  let evs = trace_events (Option.get tr) in
+  let evidence = fault_evidence expect evs ctx in
+  say "  %-14s %-28s n=%-5d %-9s err=%.1e inj=%-3d %s\n" name spec n (expect_name expect) err
+    (fault_event_count evs "fault_injected")
+    (fault_verdict ~check (name ^ " " ^ spec) ~correct:(err <= 1e-3) ~evidence)
 
-let fault_matrix ~smoke () =
+let fault_matrix ~smoke ~check =
   let apps =
     if smoke then
       List.filteri (fun i _ -> i < 2) Polybench.Suite.all
@@ -657,20 +539,8 @@ let fault_matrix ~smoke () =
   let cells = if smoke then smoke_cells else fault_cells in
   say "=== fault matrix: offloaded-with-faults vs host reference (%d apps x %d plans) ===\n"
     (List.length apps) (List.length cells);
-  let total = ref 0 and failed = ref 0 in
-  List.iter
-    (fun app ->
-      List.iter
-        (fun cell ->
-          incr total;
-          if not (fault_cell app cell) then incr failed)
-        cells)
-    apps;
-  if !failed > 0 then begin
-    say "fault-matrix: FAIL (%d of %d cells)\n" !failed !total;
-    exit 1
-  end;
-  say "fault-matrix: PASS (%d cells)\n" !total
+  List.iter (fun app -> List.iter (fault_cell ~check app) cells) apps;
+  (None, None)
 
 (* ------------------------------------------------------------------ *)
 (* memshift: copy vs zero-copy vs transfer elision (unified DRAM)       *)
@@ -783,20 +653,17 @@ let ms_apps =
 
 type ms_variant = Ms_copy | Ms_elide | Ms_zerocopy | Ms_auto | Ms_host
 
-let run_memshift_variant ?(trace = false) ?faults ?(source = None) (app : ms_app) ~n ~iters variant
-    =
-  let ctx = Polybench.Harness.create () in
-  Polybench.Harness.set_sampling ctx None;
+let run_memshift_variant ?trace ?faults ?(source = None) (app : ms_app) ~n ~iters variant =
   (* block-sampled launches conservatively dirty the device write epoch,
      so elision is only meaningful (and only measured) unsampled *)
-  (match variant with
-  | Ms_elide -> Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide)
-  | Ms_zerocopy ->
-    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Zerocopy)
-  | Ms_auto -> Polybench.Harness.set_mem_mode ctx Hostrt.Mempolicy.Auto
-  | Ms_copy | Ms_host -> ());
-  let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
-  (match faults with Some rules -> Polybench.Harness.set_faults ctx ~seed:7 rules | None -> ());
+  let mem_mode =
+    match variant with
+    | Ms_elide -> Some (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide)
+    | Ms_zerocopy -> Some (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Zerocopy)
+    | Ms_auto -> Some Hostrt.Mempolicy.Auto
+    | Ms_copy | Ms_host -> None
+  in
+  let ctx, tr = unsampled ?mem_mode ?trace ?faults () in
   let args, outs = app.ms_setup ctx ~n in
   let source = Option.value source ~default:app.ms_source in
   let p =
@@ -816,71 +683,68 @@ let run_memshift_variant ?(trace = false) ?faults ?(source = None) (app : ms_app
 (* The elided-path fault cell of the acceptance criteria: a launch fault
    injected into the second (fast-path, transfer-elided) iteration must
    retry and still produce bit-identical data. *)
-let memshift_fault_cell app ~n ~iters (r_ref : float array) : bool =
-  let rules =
-    match Hostrt.Faults.parse "launch:nth=2" with
-    | Ok rules -> rules
-    | Error msg -> failwith ("bad spec: " ^ msg)
+let memshift_fault_cell ~check app ~n ~iters (r_ref : float array) =
+  let _, r, tr, ctx =
+    run_memshift_variant ~trace:true ~faults:(fault_rules "launch:nth=2") app ~n ~iters Ms_elide
   in
-  let _, r, tr, ctx = run_memshift_variant ~trace:true ~faults:rules app ~n ~iters Ms_elide in
-  let evs = trace_events (Option.get tr) in
-  let st = Polybench.Harness.mem_stats ctx in
-  let correct = r = r_ref in
-  let retried = fault_event_count evs "retry_backoff" >= 1 in
-  let elided = st.Hostrt.Dataenv.elided_h2d >= 1 in
-  let ok = correct && retried && elided && not (Polybench.Harness.device_dead ctx) in
-  say "  fault %-10s launch:nth=2 retried=%b elided-h2d=%d %s\n" app.ms_name retried
-    st.Hostrt.Dataenv.elided_h2d
-    (if ok then "ok" else if correct then "FAIL(no evidence)" else "FAIL(wrong result)");
-  ok
+  let recovered = fault_evidence Recover (trace_events (Option.get tr)) ctx in
+  let elided_h2d = (Polybench.Harness.mem_stats ctx).Hostrt.Dataenv.elided_h2d in
+  say "  fault %-10s launch:nth=2 recovered=%b elided-h2d=%d %s\n" app.ms_name recovered elided_h2d
+    (fault_verdict ~check ("fault " ^ app.ms_name ^ " launch:nth=2") ~correct:(r = r_ref)
+       ~evidence:(recovered && elided_h2d >= 1))
 
-let memshift ~smoke () =
+(* The document shape memshift and autopolicy share. *)
+let apps_doc bench ~smoke ~n ~iters rows =
+  Perf.Json.(
+    Obj
+      [ ("bench", Str bench); ("smoke", Bool smoke); ("n", int n); ("iters", int iters);
+        ("apps", List rows) ])
+
+let memshift ~smoke ~check =
   say "=== memshift: copy vs zero-copy vs transfer elision (shared-DRAM model) ===\n";
   let n = if smoke then 32 else 96 in
   let iters = if smoke then 3 else 4 in
   say "(each app: persistent host arrays, %d offloaded iterations at n=%d; simulated seconds)\n"
     iters n;
-  let failures = ref 0 in
-  let check ok what = if not ok then (incr failures; say "  FAIL: %s\n" what) in
-  let json_rows = ref [] in
-  List.iter
-    (fun app ->
-      let _, r_host, _, _ = run_memshift_variant app ~n ~iters Ms_host in
-      let t_copy, r_copy, _, _ = run_memshift_variant app ~n ~iters Ms_copy in
-      let t_elide, r_elide, tr_elide, ctx_elide =
-        run_memshift_variant ~trace:true app ~n ~iters Ms_elide
-      in
-      let t_zc, r_zc, _, ctx_zc = run_memshift_variant app ~n ~iters Ms_zerocopy in
-      let st_e = Polybench.Harness.mem_stats ctx_elide in
-      let st_z = Polybench.Harness.mem_stats ctx_zc in
-      let identical = r_copy = r_host && r_elide = r_host && r_zc = r_host in
-      let sp_e = t_copy /. t_elide and sp_z = t_copy /. t_zc in
-      say
-        "  %-10s copy=%.6f elide=%.6f (%.2fx, h2d-elided=%d d2h-elided=%d) zerocopy=%.6f \
-         (%.2fx, %d accesses) %s\n"
-        app.ms_name t_copy t_elide sp_e st_e.Hostrt.Dataenv.elided_h2d
-        st_e.Hostrt.Dataenv.elided_d2h t_zc sp_z st_z.Hostrt.Dataenv.zerocopy_accesses
-        (if identical then "bit-identical" else "RESULTS DIFFER");
-      check identical (app.ms_name ^ ": copy/elide/zerocopy/host results differ");
-      check
-        (st_e.Hostrt.Dataenv.elided_h2d >= 1 || st_e.Hostrt.Dataenv.elided_d2h >= 1)
-        (app.ms_name ^ ": elision variant elided nothing");
-      check (st_z.Hostrt.Dataenv.zerocopy_accesses >= 1) (app.ms_name ^ ": no zero-copy accesses");
-      check (sp_e > 1.0)
-        (Printf.sprintf "%s: elision speedup %.3fx <= 1.0x over always-copy" app.ms_name sp_e);
-      (match Sys.getenv_opt "MEMSHIFT_TRACE" with
-      | Some file when app.ms_name = "atax" ->
-        Perf.Chrome_trace.write_file file (Option.get tr_elide)
-      | _ -> ());
-      json_rows :=
-        Printf.sprintf
-          {|    { "app": %S, "t_copy_s": %.9f, "t_elide_s": %.9f, "t_zerocopy_s": %.9f,
-      "speedup_elide": %.4f, "speedup_zerocopy": %.4f,
-      "elided_h2d": %d, "elided_d2h": %d, "zerocopy_accesses": %d, "bit_identical": %b }|}
-          app.ms_name t_copy t_elide t_zc sp_e sp_z st_e.Hostrt.Dataenv.elided_h2d
-          st_e.Hostrt.Dataenv.elided_d2h st_z.Hostrt.Dataenv.zerocopy_accesses identical
-        :: !json_rows)
-    ms_apps;
+  let rows =
+    List.map
+      (fun app ->
+        let _, r_host, _, _ = run_memshift_variant app ~n ~iters Ms_host in
+        let t_copy, r_copy, _, _ = run_memshift_variant app ~n ~iters Ms_copy in
+        let t_elide, r_elide, tr_elide, ctx_elide =
+          run_memshift_variant ~trace:true app ~n ~iters Ms_elide
+        in
+        let t_zc, r_zc, _, ctx_zc = run_memshift_variant app ~n ~iters Ms_zerocopy in
+        let st_e = Polybench.Harness.mem_stats ctx_elide in
+        let st_z = Polybench.Harness.mem_stats ctx_zc in
+        let identical = r_copy = r_host && r_elide = r_host && r_zc = r_host in
+        let sp_e = t_copy /. t_elide and sp_z = t_copy /. t_zc in
+        say
+          "  %-10s copy=%.6f elide=%.6f (%.2fx, h2d-elided=%d d2h-elided=%d) zerocopy=%.6f \
+           (%.2fx, %d accesses) %s\n"
+          app.ms_name t_copy t_elide sp_e st_e.Hostrt.Dataenv.elided_h2d
+          st_e.Hostrt.Dataenv.elided_d2h t_zc sp_z st_z.Hostrt.Dataenv.zerocopy_accesses
+          (if identical then "bit-identical" else "RESULTS DIFFER");
+        check identical (app.ms_name ^ ": copy/elide/zerocopy/host results differ");
+        check
+          (st_e.Hostrt.Dataenv.elided_h2d >= 1 || st_e.Hostrt.Dataenv.elided_d2h >= 1)
+          (app.ms_name ^ ": elision variant elided nothing");
+        check
+          (st_z.Hostrt.Dataenv.zerocopy_accesses >= 1)
+          (app.ms_name ^ ": no zero-copy accesses");
+        check (sp_e > 1.0)
+          (Printf.sprintf "%s: elision speedup %.3fx <= 1.0x over always-copy" app.ms_name sp_e);
+        ( tr_elide,
+          Perf.Json.(
+            Obj
+              [ ("app", Str app.ms_name); ("t_copy_s", num t_copy); ("t_elide_s", num t_elide);
+                ("t_zerocopy_s", num t_zc); ("speedup_elide", num sp_e);
+                ("speedup_zerocopy", num sp_z); ("elided_h2d", int st_e.Hostrt.Dataenv.elided_h2d);
+                ("elided_d2h", int st_e.Hostrt.Dataenv.elided_d2h);
+                ("zerocopy_accesses", int st_z.Hostrt.Dataenv.zerocopy_accesses);
+                ("bit_identical", Bool identical) ]) ))
+      ms_apps
+  in
   (* map(always, ...) must force the transfers even under elision *)
   let readscale = List.find (fun a -> a.ms_name = "readscale") ms_apps in
   let _, r_always, _, ctx_always =
@@ -897,20 +761,9 @@ let memshift ~smoke () =
   say "  -- fault injected into an elided-path launch (differential vs host) --\n";
   let atax = List.hd ms_apps in
   let _, r_ref, _, _ = run_memshift_variant atax ~n ~iters Ms_host in
-  if not (memshift_fault_cell atax ~n ~iters r_ref) then incr failures;
-  let oc = open_out "BENCH_memshift.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"memshift\",\n  \"smoke\": %b,\n  \"n\": %d,\n  \"iters\": %d,\n  \"apps\": \
-     [\n%s\n  ]\n}\n"
-    smoke n iters
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  say "  [written: BENCH_memshift.json]\n";
-  if !failures > 0 then begin
-    say "memshift: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "memshift: PASS\n"
+  memshift_fault_cell ~check atax ~n ~iters r_ref;
+  (* the trace is atax's elided run *)
+  (Some (apps_doc "memshift" ~smoke ~n ~iters (List.map snd rows)), fst (List.hd rows))
 
 (* ------------------------------------------------------------------ *)
 (* autopolicy: trace-informed policy vs each hand-forced memory mode    *)
@@ -954,16 +807,19 @@ let hotcold_app =
         ([ vint n; vint 4; fptr a; fptr y ], [ (y, n) ]));
   }
 
-let autopolicy ~smoke () =
+let autopolicy ~smoke ~check =
   say "=== autopolicy: trace-informed per-buffer policy vs hand-forced modes ===\n";
   let n = if smoke then 32 else 96 in
   let iters = if smoke then 3 else 4 in
   say "(each app: persistent host arrays, %d offloaded iterations at n=%d; simulated seconds)\n"
     iters n;
-  let failures = ref 0 in
-  let check ok what = if not ok then (incr failures; say "  FAIL: %s\n" what) in
-  let json_rows = ref [] in
-  let ge13 = ref 0 in
+  let modes_str ctx =
+    match Polybench.Harness.policy_modes_used ctx with
+    | [] -> "none"
+    | ms -> String.concat "+" (List.map Hostrt.Mempolicy.mode_name ms)
+  in
+  (* every variant of [app]: prints its row and decisions, checks the
+     results agree, and returns the times, trace, context and BENCH row *)
   let run_all ?(iters = iters) app =
     let _, r_host, _, _ = run_memshift_variant app ~n ~iters Ms_host in
     let t_copy, r_copy, _, _ = run_memshift_variant app ~n ~iters Ms_copy in
@@ -971,93 +827,61 @@ let autopolicy ~smoke () =
     let t_zc, r_zc, _, _ = run_memshift_variant app ~n ~iters Ms_zerocopy in
     let t_auto, r_auto, tr_auto, ctx_auto = run_memshift_variant ~trace:true app ~n ~iters Ms_auto in
     let identical = r_copy = r_host && r_elide = r_host && r_zc = r_host && r_auto = r_host in
-    (t_copy, t_elide, t_zc, t_auto, identical, tr_auto, ctx_auto)
-  in
-  let modes_str ctx =
-    match Polybench.Harness.policy_modes_used ctx with
-    | [] -> "none"
-    | ms -> String.concat "+" (List.map Hostrt.Mempolicy.mode_name ms)
-  in
-  let say_decisions ctx =
+    let best = Float.min t_copy (Float.min t_elide t_zc) in
+    let sp_auto = t_copy /. t_auto and vs_best = t_auto /. best in
+    say "  %-10s auto=%.6f copy=%.6f elide=%.6f zerocopy=%.6f (%.2fx vs copy, %.2f of best, \
+         modes %s) %s\n"
+      app.ms_name t_auto t_copy t_elide t_zc sp_auto vs_best (modes_str ctx_auto)
+      (if identical then "bit-identical" else "RESULTS DIFFER");
     List.iter
       (fun ((off, bytes), row) ->
         say "      0x%x+%-6d %s\n" off bytes
           (String.concat ", " (List.map (fun (m, k) -> Printf.sprintf "%s x%d" m k) row)))
-      (Polybench.Harness.policy_decisions ctx)
+      (Polybench.Harness.policy_decisions ctx_auto);
+    check identical (app.ms_name ^ ": auto/copy/elide/zerocopy/host results differ");
+    ( (t_copy, t_elide, t_zc, t_auto, best, tr_auto, ctx_auto),
+      Perf.Json.(
+        Obj
+          [ ("app", Str app.ms_name); ("t_copy_s", num t_copy); ("t_elide_s", num t_elide);
+            ("t_zerocopy_s", num t_zc); ("t_auto_s", num t_auto); ("speedup_auto", num sp_auto);
+            ("auto_vs_best", num vs_best); ("modes", Str (modes_str ctx_auto));
+            ("bit_identical", Bool identical) ]) )
   in
-  List.iter
-    (fun app ->
-      let t_copy, t_elide, t_zc, t_auto, identical, tr_auto, ctx_auto = run_all app in
-      let best = Float.min t_copy (Float.min t_elide t_zc) in
-      let sp_auto = t_copy /. t_auto in
-      let vs_best = t_auto /. best in
-      if sp_auto >= 1.3 then incr ge13;
-      say "  %-10s auto=%.6f copy=%.6f elide=%.6f zerocopy=%.6f (%.2fx vs copy, %.2f of best, \
-           modes %s) %s\n"
-        app.ms_name t_auto t_copy t_elide t_zc sp_auto vs_best (modes_str ctx_auto)
-        (if identical then "bit-identical" else "RESULTS DIFFER");
-      say_decisions ctx_auto;
-      check identical (app.ms_name ^ ": auto/copy/elide/zerocopy/host results differ");
-      check (vs_best <= 1.10)
-        (Printf.sprintf "%s: auto %.6fs is %.2fx the best forced mode (%.6fs), above the 10%% \
-                         budget" app.ms_name t_auto vs_best best);
-      (match Sys.getenv_opt "AUTOPOLICY_TRACE" with
-      | Some file when app.ms_name = "atax" ->
-        Perf.Chrome_trace.write_file file (Option.get tr_auto)
-      | _ -> ());
-      json_rows :=
-        Printf.sprintf
-          {|    { "app": %S, "t_copy_s": %.9f, "t_elide_s": %.9f, "t_zerocopy_s": %.9f,
-      "t_auto_s": %.9f, "speedup_auto": %.4f, "auto_vs_best": %.4f,
-      "modes": %S, "bit_identical": %b }|}
-          app.ms_name t_copy t_elide t_zc t_auto sp_auto vs_best (modes_str ctx_auto) identical
-        :: !json_rows)
-    ms_apps;
-  check (!ge13 >= 2)
-    (Printf.sprintf "auto beat forced-copy by >=1.3x on only %d app(s), need >=2" !ge13);
+  let runs =
+    List.map
+      (fun app ->
+        let ((_, _, _, t_auto, best, _, _), _) as run = run_all app in
+        check (t_auto /. best <= 1.10)
+          (Printf.sprintf "%s: auto %.6fs is %.2fx the best forced mode (%.6fs), above the 10%% \
+                           budget" app.ms_name t_auto (t_auto /. best) best);
+        run)
+      ms_apps
+  in
+  let ge13 =
+    List.length
+      (List.filter (fun ((t_copy, _, _, t_auto, _, _, _), _) -> t_copy /. t_auto >= 1.3) runs)
+  in
+  check (ge13 >= 2)
+    (Printf.sprintf "auto beat forced-copy by >=1.3x on only %d app(s), need >=2" ge13);
   (* mixed temperatures in one region: auto must pick different modes for
      different buffers and beat every single-mode forcing outright *)
   say "  -- hotcold: mixed buffer temperatures in one target region --\n";
   (* twice the iterations: the steady-state gains of the per-buffer mix
      must outweigh the first cold cycle's conservative choices *)
-  let t_copy, t_elide, t_zc, t_auto, identical, _, ctx_auto =
+  let (t_copy, t_elide, t_zc, t_auto, _, _, ctx_auto), hot_row =
     run_all ~iters:(2 * iters) hotcold_app
   in
-  let modes = Polybench.Harness.policy_modes_used ctx_auto in
-  let sp_auto = t_copy /. t_auto in
-  say "  %-10s auto=%.6f copy=%.6f elide=%.6f zerocopy=%.6f (%.2fx vs copy, modes %s) %s\n"
-    hotcold_app.ms_name t_auto t_copy t_elide t_zc sp_auto (modes_str ctx_auto)
-    (if identical then "bit-identical" else "RESULTS DIFFER");
-  say_decisions ctx_auto;
-  check identical "hotcold: auto/copy/elide/zerocopy/host results differ";
-  check (List.length modes >= 2) "hotcold: auto used fewer than 2 distinct modes in one region";
+  check
+    (List.length (Polybench.Harness.policy_modes_used ctx_auto) >= 2)
+    "hotcold: auto used fewer than 2 distinct modes in one region";
   check
     (t_auto < t_copy && t_auto < t_elide && t_auto < t_zc)
     (Printf.sprintf
        "hotcold: auto %.6fs does not beat every forcing (copy %.6f elide %.6f zerocopy %.6f)"
        t_auto t_copy t_elide t_zc);
-  json_rows :=
-    Printf.sprintf
-      {|    { "app": %S, "t_copy_s": %.9f, "t_elide_s": %.9f, "t_zerocopy_s": %.9f,
-      "t_auto_s": %.9f, "speedup_auto": %.4f, "auto_vs_best": %.4f,
-      "modes": %S, "bit_identical": %b }|}
-      hotcold_app.ms_name t_copy t_elide t_zc t_auto sp_auto
-      (t_auto /. Float.min t_copy (Float.min t_elide t_zc))
-      (modes_str ctx_auto) identical
-    :: !json_rows;
-  let oc = open_out "BENCH_autopolicy.json" in
-  Printf.fprintf oc
-    "{\n  \"bench\": \"autopolicy\",\n  \"smoke\": %b,\n  \"n\": %d,\n  \"iters\": %d,\n  \
-     \"apps\": [\n%s\n  ]\n}\n"
-    smoke n iters
-    (String.concat ",\n" (List.rev !json_rows));
-  close_out oc;
-  say "  [written: BENCH_autopolicy.json]\n";
-  if !failures > 0 then begin
-    say "autopolicy: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "autopolicy: PASS\n"
+  (* the trace is atax's auto run *)
+  let (_, _, _, _, _, trace, _), _ = List.hd runs in
+  (Some (apps_doc "autopolicy" ~smoke ~n ~iters (List.map snd runs @ [ hot_row ])), trace)
 
 (* ------------------------------------------------------------------ *)
 (* jit: closure-JIT executor vs tree-walking interpreter (wall clock)   *)
@@ -1068,60 +892,45 @@ let autopolicy ~smoke () =
    clock.  Per app: best-of-[reps] wall time for each executor, the
    cross-checks, and a once-per-module-load compile assertion; the run
    fails unless at least one app clears a 3x speedup. *)
-let jit_bench ~smoke () =
+let jit_bench ~smoke ~check =
   say "== closure JIT vs tree-walking interpreter (wall clock) ==\n";
-  let failures = ref 0 in
-  let check ok msg =
-    if not ok then begin
-      say "  CHECK FAILED: %s\n" msg;
-      incr failures
-    end
-  in
   let reps = if smoke then 2 else 3 in
   let run_leg (app : Polybench.Suite.app) ~jit ~n =
-    let ctx = Polybench.Harness.create () in
-    Polybench.Harness.set_sampling ctx None;
-    Polybench.Harness.set_jit ctx jit;
+    let ctx, _ = unsampled ~jit () in
     let t0 = Unix.gettimeofday () in
     let sim, out = app.Polybench.Suite.ap_run ctx Polybench.Harness.Cuda ~n in
-    (Unix.gettimeofday () -. t0, sim, out)
+    (Unix.gettimeofday () -. t0, sim, Array.map Int32.bits_of_float out)
   in
-  let rows = ref [] in
-  let best = ref (0.0, "none") in
-  List.iter
-    (fun (app : Polybench.Suite.app) ->
-      let name = app.Polybench.Suite.ap_name in
-      let n = List.nth app.Polybench.Suite.ap_validate_sizes 1 in
-      let wall_i = ref infinity and wall_j = ref infinity in
-      let sim_i = ref 0.0 and sim_j = ref 0.0 in
-      let out_i = ref [||] and out_j = ref [||] in
-      for _ = 1 to reps do
-        let w, s, o = run_leg app ~jit:false ~n in
-        if w < !wall_i then wall_i := w;
-        sim_i := s;
-        out_i := o;
-        let w, s, o = run_leg app ~jit:true ~n in
-        if w < !wall_j then wall_j := w;
-        sim_j := s;
-        out_j := o
-      done;
-      let bits a = Array.map Int32.bits_of_float a in
-      check (!sim_i = !sim_j) (name ^ ": simulated time differs between JIT and interpreter");
-      check (bits !out_i = bits !out_j) (name ^ ": output not bit-identical under JIT");
-      let sp = !wall_i /. !wall_j in
-      say "  %-12s n=%-4d interp=%.3fs jit=%.3fs speedup=%.2fx\n" name n !wall_i !wall_j sp;
-      if sp > fst !best then best := (sp, name);
-      rows :=
-        Printf.sprintf
-          "    { \"name\": %S, \"n\": %d, \"interp_s\": %.6f, \"jit_s\": %.6f, \"speedup\": %.3f }"
-          name n !wall_i !wall_j sp
-        :: !rows)
-    Polybench.Suite.all;
+  let rows =
+    List.map
+      (fun (app : Polybench.Suite.app) ->
+        let name = app.Polybench.Suite.ap_name in
+        let n = List.nth app.Polybench.Suite.ap_validate_sizes 1 in
+        (* alternating interpreter and JIT legs; each executor's best wall time *)
+        let legs =
+          List.init reps (fun _ ->
+              let interp = run_leg app ~jit:false ~n in
+              (interp, run_leg app ~jit:true ~n))
+        in
+        let best leg =
+          List.fold_left (fun b l -> let w, _, _ = leg l in Float.min b w) infinity legs
+        in
+        let wall_i = best fst and wall_j = best snd in
+        let (_, sim_i, out_i), (_, sim_j, out_j) = List.nth legs (reps - 1) in
+        check (sim_i = sim_j) (name ^ ": simulated time differs between JIT and interpreter");
+        check (out_i = out_j) (name ^ ": output not bit-identical under JIT");
+        let sp = wall_i /. wall_j in
+        say "  %-12s n=%-4d interp=%.3fs jit=%.3fs speedup=%.2fx\n" name n wall_i wall_j sp;
+        ( (sp, name),
+          Perf.Json.(
+            Obj
+              [ ("name", Str name); ("n", int n); ("interp_s", num wall_i); ("jit_s", num wall_j);
+                ("speedup", num sp) ]) ))
+      Polybench.Suite.all
+  in
   (* relaunching from the same loaded module must not recompile *)
-  let ctx = Polybench.Harness.create () in
-  Polybench.Harness.set_sampling ctx None;
-  Polybench.Harness.set_jit ctx true;
-  let tr = Polybench.Harness.enable_trace ctx in
+  let ctx, tr = unsampled ~jit:true ~trace:true () in
+  let tr = Option.get tr in
   let atax = List.find (fun a -> a.Polybench.Suite.ap_name = "atax") Polybench.Suite.all in
   let n0 = List.hd atax.Polybench.Suite.ap_validate_sizes in
   ignore (atax.Polybench.Suite.ap_run ctx Polybench.Harness.Cuda ~n:n0);
@@ -1131,29 +940,17 @@ let jit_bench ~smoke () =
   say "  closure_compile events: first run=%d, after rerun=%d (module reused)\n" c1 c2;
   check (c1 >= 1) "no closure_compile event on a JIT run";
   check (c2 = c1) "closure compile fired again on relaunch (must be once per module load)";
-  let sp_max, sp_app = !best in
-  let oc = open_out "BENCH_jit.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"jit\",\n\
-    \  \"reps\": %d,\n\
-    \  \"apps\": [\n\
-     %s\n\
-    \  ],\n\
-    \  \"max_speedup\": %.3f,\n\
-    \  \"max_speedup_app\": %S\n\
-     }\n"
-    reps
-    (String.concat ",\n" (List.rev !rows))
-    sp_max sp_app;
-  close_out oc;
-  say "  [written: BENCH_jit.json]\n";
+  (* the first app with the highest speedup *)
+  let sp_max, sp_app =
+    List.fold_left (fun b (r, _) -> if fst r > fst b then r else b) (0.0, "none") rows
+  in
   check (sp_max >= 3.0) (Printf.sprintf "best JIT speedup %.2fx (%s) is below the 3x bar" sp_max sp_app);
-  if !failures > 0 then begin
-    say "jit: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "jit: PASS (best %.2fx on %s)\n" sp_max sp_app
+  ( Some
+      Perf.Json.(
+        Obj
+          [ ("bench", Str "jit"); ("reps", int reps); ("apps", List (List.map snd rows));
+            ("max_speedup", num sp_max); ("max_speedup_app", Str sp_app) ]),
+    None )
 
 (* ------------------------------------------------------------------ *)
 (* serve: the offload server under load                                 *)
@@ -1167,40 +964,18 @@ let jit_bench ~smoke () =
    must agree bit-for-bit across the legs — scheduling and recovery may
    only move time, never bytes.  Fails unless the stream pool clears
    1.2x the serialized throughput. *)
-let serve_bench ~smoke () =
+let serve_bench ~smoke ~check =
   say "=== serve: concurrent offload server — multi-stream vs serialized ===\n";
-  let failures = ref 0 in
-  let check ok msg =
-    if not ok then begin
-      say "  CHECK FAILED: %s\n" msg;
-      incr failures
-    end
-  in
   let sessions = Serve.default_sessions ~smoke in
-  let base =
-    {
-      Serve.cf_devices = 1;
-      cf_streams = 4;
-      cf_max_inflight = 8;
-      cf_generations = 2;
-      cf_seed = 42;
-      cf_mem_policy = Some (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
-      cf_resident_cap_bytes = None;
-      cf_faults = [];
-      cf_fault_seed = 7;
-      cf_max_retries = None;
-      cf_trace = true;
-    }
-  in
-  let fault_rules =
-    match Hostrt.Faults.parse "h2d:every=7,kind=transient;launch:every=11,kind=transient" with
-    | Ok rules -> rules
-    | Error msg -> failwith ("serve bench: bad fault spec: " ^ msg)
-  in
+  let base = { Serve.default_config with Serve.cf_trace = true } in
   let multi, tr = Serve.run base sessions in
   let serial, _ = Serve.run { base with Serve.cf_streams = 1; cf_trace = false } sessions in
   let faulted, _ =
-    Serve.run { base with Serve.cf_faults = fault_rules; cf_trace = false } sessions
+    Serve.run
+      { base with
+        Serve.cf_faults = fault_rules "h2d:every=7,kind=transient;launch:every=11,kind=transient";
+        cf_trace = false }
+      sessions
   in
   let leg name (r : Serve.report) =
     say "  %-12s %3d/%3d req, %8.1f req/s, p50/p95/p99 %.3f/%.3f/%.3f ms, depth mean %.2f, %s\n"
@@ -1235,44 +1010,26 @@ let serve_bench ~smoke () =
            multi.Serve.rp_sessions r.Serve.rp_sessions)
         (name ^ ": per-session outputs differ from the multi-stream leg"))
     [ ("streams=1", serial); ("faulted", faulted) ];
-  (match (Sys.getenv_opt "SERVE_TRACE", tr) with
-  | Some file, Some trace ->
-    Perf.Chrome_trace.write_file file trace;
-    say "  [trace: %d events written to %s]\n" (Perf.Trace.length trace) file
-  | _ -> ());
-  let oc = open_out "BENCH_serve.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"serve\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"clients\": %d,\n\
-    \  \"requests\": %d,\n\
-    \  \"throughput_multi_rps\": %.1f,\n\
-    \  \"throughput_serial_rps\": %.1f,\n\
-    \  \"speedup_throughput\": %.4f,\n\
-    \  \"p50_ms\": %.4f,\n\
-    \  \"p95_ms\": %.4f,\n\
-    \  \"p99_ms\": %.4f,\n\
-    \  \"mean_queue_depth\": %.2f,\n\
-    \  \"max_queue_depth\": %d,\n\
-    \  \"env_hit_rate\": %.4f,\n\
-    \  \"open_elisions\": %d,\n\
-    \  \"fault_leg\": { \"faults_injected\": %d, \"bit_identical\": %b },\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    smoke (List.length sessions) multi.Serve.rp_requests multi.Serve.rp_throughput_rps
-    serial.Serve.rp_throughput_rps speedup multi.Serve.rp_p50_ms multi.Serve.rp_p95_ms
-    multi.Serve.rp_p99_ms multi.Serve.rp_mean_queue_depth multi.Serve.rp_max_queue_depth
-    multi.Serve.rp_env_hit_rate multi.Serve.rp_open_elisions faulted.Serve.rp_faults_injected
-    faulted.Serve.rp_all_identical
-    (multi.Serve.rp_all_identical && serial.Serve.rp_all_identical);
-  close_out oc;
-  say "  [written: BENCH_serve.json]\n";
-  if !failures > 0 then begin
-    say "serve: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "serve: PASS (%.2fx multi-stream throughput)\n" speedup
+  ( Some
+      Perf.Json.(
+        Obj
+          [ ("bench", Str "serve"); ("smoke", Bool smoke); ("clients", int (List.length sessions));
+            ("requests", int multi.Serve.rp_requests);
+            ("throughput_multi_rps", num multi.Serve.rp_throughput_rps);
+            ("throughput_serial_rps", num serial.Serve.rp_throughput_rps);
+            ("speedup_throughput", num speedup); ("p50_ms", num multi.Serve.rp_p50_ms);
+            ("p95_ms", num multi.Serve.rp_p95_ms); ("p99_ms", num multi.Serve.rp_p99_ms);
+            ("mean_queue_depth", num multi.Serve.rp_mean_queue_depth);
+            ("max_queue_depth", int multi.Serve.rp_max_queue_depth);
+            ("env_hit_rate", num multi.Serve.rp_env_hit_rate);
+            ("open_elisions", int multi.Serve.rp_open_elisions);
+            ( "fault_leg",
+              Obj
+                [ ("faults_injected", int faulted.Serve.rp_faults_injected);
+                  ("bit_identical", Bool faulted.Serve.rp_all_identical) ] );
+            ( "bit_identical",
+              Bool (multi.Serve.rp_all_identical && serial.Serve.rp_all_identical) ) ]),
+    tr )
 
 (* ------------------------------------------------------------------ *)
 (* reduction: tree reduce vs single-team serialized reduce              *)
@@ -1301,6 +1058,9 @@ void red_i(int n, int teams, int nthr, int x[], int y[], int out[])
   out[0] = s;
 }
 |}
+
+(* [a] agrees with [b] within float accumulation-order tolerance *)
+let close a b = Float.abs (a -. b) <= 1e-3 *. Float.max 1.0 (Float.abs b)
 
 let red_fx i = Polybench.Refmath.r32 (float_of_int (((i * 7) mod 31) - 15) /. 32.0)
 
@@ -1356,21 +1116,12 @@ let red_float_model ~n ~teams ~nthr : float =
    fault recovered by retry, and a fatal launch fault degraded to the
    sequential host fallback.  Fails unless the tree clears 1.2x the
    serialized simulated time. *)
-let reduction_bench ~smoke () =
+let reduction_bench ~smoke ~check =
   say "=== reduction: multi-team tree reduce vs single-team serialized ===\n";
-  let failures = ref 0 in
-  let check ok msg =
-    if not ok then begin
-      say "  CHECK FAILED: %s\n" msg;
-      incr failures
-    end
-  in
   let n = if smoke then 8192 else 65536 in
   let teams = 16 and nthr = 128 in
   let run_float ~jit ~teams ~nthr =
-    let ctx = Polybench.Harness.create () in
-    Polybench.Harness.set_sampling ctx None;
-    Polybench.Harness.set_jit ctx jit;
+    let ctx, _ = unsampled ~jit () in
     let open Polybench.Harness in
     let x = alloc_f32 ctx n and y = alloc_f32 ctx n and out = alloc_f32 ctx 1 in
     fill_f32 ctx x n red_fx;
@@ -1382,18 +1133,15 @@ let reduction_bench ~smoke () =
     in
     (t, Int32.bits_of_float (get_f32 ctx out 0), ctx)
   in
-  let run_int ~faults ~teams ~nthr =
-    let ctx = Polybench.Harness.create () in
-    Polybench.Harness.set_sampling ctx None;
-    let tr = Polybench.Harness.enable_trace ctx in
-    (match faults with [] -> () | rules -> Polybench.Harness.set_faults ctx ~seed:11 rules);
+  let run_int ?faults () =
+    let ctx, tr = unsampled ~trace:true ?faults ~fault_seed:11 () in
     let open Polybench.Harness in
     let x = alloc_i32 ctx n and y = alloc_i32 ctx n and out = alloc_i32 ctx 1 in
     fill_i32 ctx x n red_ix;
     fill_i32 ctx y n red_iy;
     let p = prepare_omp ctx ~name:"bench_red_i" reduction_int_src in
     call_omp p "red_i" [ vint n; vint teams; vint nthr; fptr x; fptr y; fptr out ];
-    (get_i32 ctx out 0, tr, ctx)
+    (get_i32 ctx out 0, Option.get tr, ctx)
   in
   (* tree leg, both executors: the JIT may only move wall clock *)
   let t_tree, bits_jit, ctx_tree = run_float ~jit:true ~teams ~nthr in
@@ -1413,74 +1161,40 @@ let reduction_bench ~smoke () =
     (Printf.sprintf "expected %d publish atomics (one per team), counted %d" teams atomics);
   (* serialized baseline: one team, one thread *)
   let t_serial, bits_serial, _ = run_float ~jit:true ~teams:1 ~nthr:1 in
-  let serial_close =
-    Float.abs (Int32.float_of_bits bits_serial -. Int32.float_of_bits bits_jit)
-    <= 1e-3 *. Float.max 1.0 (Float.abs (Int32.float_of_bits bits_serial))
-  in
-  check serial_close "tree and serialized results disagree beyond accumulation tolerance";
+  check
+    (close (Int32.float_of_bits bits_jit) (Int32.float_of_bits bits_serial))
+    "tree and serialized results disagree beyond accumulation tolerance";
   let speedup = t_serial /. t_tree in
   say "  n=%d geometry %dx%d: tree %.6fs, serialized %.6fs, speedup %.2fx (gate: >= 1.20x)\n" n
     teams nthr t_tree t_serial speedup;
   say "  atomics per launch: %d (one per team), model bits match: %b\n" atomics
     (bits_jit = model_bits);
   (* fault cells on the int variant: recovery may never move the bytes *)
-  let ref_int, _, _ = run_int ~faults:[] ~teams ~nthr in
-  let parse_rules spec =
-    match Hostrt.Faults.parse spec with
-    | Ok rules -> rules
-    | Error msg -> failwith ("reduction bench: bad fault spec: " ^ msg)
+  let ref_int, _, _ = run_int () in
+  let fault_leg (spec, expect) =
+    let got, tr, ctx = run_int ~faults:(fault_rules spec) () in
+    let v =
+      fault_verdict ~check ("fault " ^ spec) ~correct:(got = ref_int)
+        ~evidence:(fault_evidence expect (trace_events tr) ctx)
+    in
+    say "  fault %-30s %-9s %s\n" spec (expect_name expect) v;
+    Perf.Json.Bool (v = "ok")
   in
-  let retry_int, retry_tr, retry_ctx =
-    run_int ~faults:(parse_rules "launch:nth=1,kind=transient") ~teams ~nthr
-  in
-  let retry_evs = trace_events retry_tr in
-  let retry_ok =
-    retry_int = ref_int
-    && fault_event_count retry_evs "retry_backoff" >= 1
-    && fault_event_count retry_evs "host_fallback" = 0
-    && not (Polybench.Harness.device_dead retry_ctx)
-  in
-  say "  fault launch:nth=1,kind=transient  retried, bit-identical: %b\n" retry_ok;
-  check retry_ok "transient launch fault: retry did not reproduce the bytes";
-  let fb_int, fb_tr, fb_ctx =
-    run_int ~faults:(parse_rules "launch:nth=1,kind=fatal") ~teams ~nthr
-  in
-  let fb_evs = trace_events fb_tr in
-  let fb_ok =
-    fb_int = ref_int
-    && fault_event_count fb_evs "host_fallback" >= 1
-    && Polybench.Harness.device_dead fb_ctx
-  in
-  say "  fault launch:nth=1,kind=fatal      host fallback, bit-identical: %b\n" fb_ok;
-  check fb_ok "fatal launch fault: host fallback did not reproduce the bytes";
-  let oc = open_out "BENCH_reduction.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"reduction\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"n\": %d,\n\
-    \  \"teams\": %d,\n\
-    \  \"threads\": %d,\n\
-    \  \"tree_sim_s\": %.6f,\n\
-    \  \"serial_sim_s\": %.6f,\n\
-    \  \"speedup\": %.4f,\n\
-    \  \"atomics_per_launch\": %d,\n\
-    \  \"model_bits_match\": %b,\n\
-    \  \"executors_identical\": %b,\n\
-    \  \"fault_legs\": { \"retry_bit_identical\": %b, \"fallback_bit_identical\": %b }\n\
-     }\n"
-    smoke n teams nthr t_tree t_serial speedup atomics (bits_jit = model_bits)
-    (bits_jit = bits_interp && t_tree = t_tree_i)
-    retry_ok fb_ok;
-  close_out oc;
-  say "  [written: BENCH_reduction.json]\n";
+  let retry_ok = fault_leg ("launch:nth=1,kind=transient", Recover) in
+  let fb_ok = fault_leg ("launch:nth=1,kind=fatal", Fallback) in
   check (speedup >= 1.2)
     (Printf.sprintf "tree speedup %.2fx below the 1.2x bar" speedup);
-  if !failures > 0 then begin
-    say "reduction: FAIL (%d check(s))\n" !failures;
-    exit 1
-  end;
-  say "reduction: PASS (%.2fx over serialized)\n" speedup
+  ( Some
+      Perf.Json.(
+        Obj
+          [ ("bench", Str "reduction"); ("smoke", Bool smoke); ("n", int n); ("teams", int teams);
+            ("threads", int nthr); ("tree_sim_s", num t_tree); ("serial_sim_s", num t_serial);
+            ("speedup", num speedup); ("atomics_per_launch", int atomics);
+            ("model_bits_match", Bool (bits_jit = model_bits));
+            ("executors_identical", Bool (bits_jit = bits_interp && t_tree = t_tree_i));
+            ( "fault_legs",
+              Obj [ ("retry_bit_identical", retry_ok); ("fallback_bit_identical", fb_ok) ] ) ]),
+    None )
 
 (* ------------------------------------------------------------------ *)
 (* multidev: sharded distribute across an N-device farm                 *)
@@ -1531,15 +1245,8 @@ let md_c _n i = Polybench.Refmath.r32 (float_of_int ((i mod 11) - 5) /. 8.0)
 (* The translator only shards default-device launches, and the shard
    planner only engages past one live device — everything else must
    collapse to the single-device path, bit-for-bit. *)
-let multidev_bench ~smoke () =
+let multidev_bench ~smoke ~check =
   say "=== multidev: sharded distribute across an N-device farm ===\n";
-  let failures = ref 0 in
-  let check ok msg =
-    if not ok then begin
-      say "  CHECK FAILED: %s\n" msg;
-      incr failures
-    end
-  in
   let gemm_n = if smoke then 128 else 256 in
   let gemm_teams = 64 in
   let dot_n = if smoke then 8192 else 65536 in
@@ -1550,16 +1257,11 @@ let multidev_bench ~smoke () =
   let dead ctx d =
     Hostrt.Dataenv.is_dead (Hostrt.Rt.device ctx.Polybench.Harness.rt d).Hostrt.Rt.dev_dataenv
   in
-  let run_gemm ?(host_interp = false) ?(trace = false) ?faults ~devices () =
-    let ctx = Polybench.Harness.create ~devices () in
-    Polybench.Harness.set_sampling ctx None;
-    (* steady-state shape: the warm call re-broadcasts nothing the host
-       has not dirtied, so the window is shards + the c traffic *)
-    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
-    let tr = if trace then Some (Polybench.Harness.enable_trace ctx) else None in
-    (match faults with
-    | None -> ()
-    | Some rules -> Polybench.Harness.set_faults ctx ~seed:7 rules);
+  (* steady-state shape: the warm call re-broadcasts nothing the host
+     has not dirtied, so the window is shards + the c traffic *)
+  let mem_mode = Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide in
+  let run_gemm ?(host_interp = false) ?trace ?faults ~devices () =
+    let ctx, tr = unsampled ~devices ~mem_mode ?trace ?faults () in
     let open Polybench.Harness in
     let nn = gemm_n * gemm_n in
     let a = alloc_f32 ctx nn and b = alloc_f32 ctx nn and c = alloc_f32 ctx nn in
@@ -1582,9 +1284,7 @@ let multidev_bench ~smoke () =
     (t, Array.map Int32.bits_of_float (read_f32_array ctx c nn), ctx, tr)
   in
   let run_dot ?(host_interp = false) ~devices () =
-    let ctx = Polybench.Harness.create ~devices () in
-    Polybench.Harness.set_sampling ctx None;
-    Polybench.Harness.set_mem_mode ctx (Hostrt.Mempolicy.Forced Hostrt.Mempolicy.Elide);
+    let ctx, _ = unsampled ~devices ~mem_mode () in
     let open Polybench.Harness in
     let x = alloc_f32 ctx dot_n and y = alloc_f32 ctx dot_n and out = alloc_f32 ctx 1 in
     fill_f32 ctx x dot_n red_fx;
@@ -1607,7 +1307,6 @@ let multidev_bench ~smoke () =
   check (gh_bits = g1_bits) "gemm: device bytes differ from the host interpreter";
   (* two region executions (warm-up + measured) -> exactly one shard
      launch per device per execution, on every farm size *)
-  check (launches_of g1_ctx 0 = 2) "gemm: 1-device leg did not launch once per execution";
   List.iter
     (fun (ctx, devices) ->
       for d = 0 to devices - 1 do
@@ -1616,7 +1315,7 @@ let multidev_bench ~smoke () =
           (Printf.sprintf "gemm: device %d of %d ran %d shard launches (want 2)" d devices
              (launches_of ctx d))
       done)
-    [ (g2_ctx, 2); (g4_ctx, 4) ];
+    [ (g1_ctx, 1); (g2_ctx, 2); (g4_ctx, 4) ];
   let g2_sp = g1_t /. g2_t and g4_sp = g1_t /. g4_t in
   say "  gemm   n=%-5d teams=%-3d  1dev %.6fs  2dev %.6fs (%.2fx)  4dev %.6fs (%.2fx)\n" gemm_n
     gemm_teams g1_t g2_t g2_sp g4_t g4_sp;
@@ -1627,7 +1326,6 @@ let multidev_bench ~smoke () =
   let _, dh_bits, _ = run_dot ~host_interp:true ~devices:1 () in
   check (d2_bits = d1_bits) "dot: 2-device reduction differs from 1-device";
   check (d4_bits = d1_bits) "dot: 4-device reduction differs from 1-device";
-  let close a b = Float.abs (a -. b) <= 1e-3 *. Float.max 1.0 (Float.abs b) in
   check
     (close (Int32.float_of_bits d1_bits) (Int32.float_of_bits dh_bits))
     "dot: device reduction drifted beyond accumulation tolerance of the host value";
@@ -1636,12 +1334,9 @@ let multidev_bench ~smoke () =
   (* fault cell: a fatal launch fault on device 1's shard (launch #2 in
      ascending shard order) host-falls-back that shard only — device 0
      stays alive and the merged bytes do not move *)
-  let rules =
-    match Hostrt.Faults.parse "launch:nth=2,kind=fatal" with
-    | Ok rules -> rules
-    | Error msg -> failwith ("multidev bench: bad fault spec: " ^ msg)
+  let _, gf_bits, gf_ctx, gf_tr =
+    run_gemm ~devices:2 ~trace:true ~faults:(fault_rules "launch:nth=2,kind=fatal") ()
   in
-  let _, gf_bits, gf_ctx, gf_tr = run_gemm ~devices:2 ~trace:true ~faults:rules () in
   let fallbacks =
     match gf_tr with
     | Some tr -> Perf.Trace.count_events tr ~cat:"shard" ~name:"shard_host_fallback" ()
@@ -1656,78 +1351,234 @@ let multidev_bench ~smoke () =
     (not (dead gf_ctx 0))
     (gf_bits = g1_bits);
   check fault_ok "fault cell: secondary shard death did not degrade cleanly";
-  let oc = open_out "BENCH_multidev.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"bench\": \"multidev\",\n\
-    \  \"smoke\": %b,\n\
-    \  \"gemm\": { \"n\": %d, \"teams\": %d, \"sim_s_1dev\": %.6f, \"sim_s_2dev\": %.6f,\n\
-    \             \"sim_s_4dev\": %.6f, \"speedup_2dev\": %.4f, \"speedup_4dev\": %.4f,\n\
-    \             \"bit_identical\": %b },\n\
-    \  \"dot\": { \"n\": %d, \"teams\": %d, \"sim_s_1dev\": %.6f, \"sim_s_2dev\": %.6f,\n\
-    \            \"sim_s_4dev\": %.6f, \"speedup_2dev\": %.4f, \"speedup_4dev\": %.4f,\n\
-    \            \"bit_identical\": %b },\n\
-    \  \"speedup_4dev\": %.4f,\n\
-    \  \"fault_cell\": { \"shard_fallbacks\": %d, \"secondary_dead\": %b, \"primary_alive\": %b,\n\
-    \                   \"bit_identical\": %b },\n\
-    \  \"bit_identical\": %b\n\
-     }\n"
-    smoke gemm_n gemm_teams g1_t g2_t g4_t g2_sp g4_sp
-    (g2_bits = g1_bits && g4_bits = g1_bits && gh_bits = g1_bits)
-    dot_n dot_teams d1_t d2_t d4_t (d1_t /. d2_t) (d1_t /. d4_t)
-    (d2_bits = d1_bits && d4_bits = d1_bits)
-    g4_sp fallbacks (dead gf_ctx 1)
-    (not (dead gf_ctx 0))
-    (gf_bits = g1_bits)
-    (g2_bits = g1_bits && g4_bits = g1_bits && d2_bits = d1_bits && d4_bits = d1_bits);
-  close_out oc;
-  say "  [written: BENCH_multidev.json]\n";
   check (g4_sp >= 1.5)
     (Printf.sprintf "gemm 4-device speedup %.2fx below the 1.5x bar" g4_sp);
+  let farm ~n ~teams t1 t2 t4 identical =
+    Perf.Json.(
+      Obj
+        [ ("n", int n); ("teams", int teams); ("sim_s_1dev", num t1); ("sim_s_2dev", num t2);
+          ("sim_s_4dev", num t4); ("speedup_2dev", num (t1 /. t2));
+          ("speedup_4dev", num (t1 /. t4)); ("bit_identical", Bool identical) ])
+  in
+  ( Some
+      Perf.Json.(
+        Obj
+          [ ("bench", Str "multidev"); ("smoke", Bool smoke);
+            ( "gemm",
+              farm ~n:gemm_n ~teams:gemm_teams g1_t g2_t g4_t
+                (g2_bits = g1_bits && g4_bits = g1_bits && gh_bits = g1_bits) );
+            ( "dot",
+              farm ~n:dot_n ~teams:dot_teams d1_t d2_t d4_t (d2_bits = d1_bits && d4_bits = d1_bits)
+            ); ("speedup_4dev", num g4_sp);
+            ( "fault_cell",
+              Obj
+                [ ("shard_fallbacks", int fallbacks); ("secondary_dead", Bool (dead gf_ctx 1));
+                  ("primary_alive", Bool (not (dead gf_ctx 0)));
+                  ("bit_identical", Bool (gf_bits = g1_bits)) ] );
+            ( "bit_identical",
+              Bool
+                (g2_bits = g1_bits && g4_bits = g1_bits && d2_bits = d1_bits && d4_bits = d1_bits)
+            ) ]),
+    None )
+
+(* ------------------------------------------------------------------ *)
+(* Registry and driver                                                  *)
+(* ------------------------------------------------------------------ *)
+
+type clock = Sim | Wall
+
+(* A mode's regression headline: a number at the top of its BENCH
+   document, or one per entry of its "apps" array, matched by "app". *)
+type headline = Scalar of string | Per_app of string
+
+type mode = {
+  name : string;
+  doc : string;
+  clock : clock;
+  headline : headline option; (* Some: the mode writes BENCH_<name>.json *)
+  has_smoke : bool;
+  (* the BENCH document and at most one trace; failed checks go to [check] *)
+  run : smoke:bool -> check:(bool -> string -> unit) -> Perf.Json.t option * Perf.Trace.t option;
+}
+
+let paper name doc f =
+  { name; doc; clock = Sim; headline = None; has_smoke = false;
+    run = (fun ~smoke:_ ~check:_ -> f (); (None, None)) }
+
+let gated ?headline name clock doc run = { name; doc; clock; headline; has_smoke = true; run }
+
+let paper_modes =
+  [ paper "figures" "Fig. 4a-f sweep of the six paper apps, then a CSV dump" all_figures;
+    paper "extras" "five further Unibench applications beyond the paper's plots" extras;
+    paper "ablate-binmode" "A1: PTX/JIT (cold and warm cache) vs CUBIN launches" ablate_binmode;
+    paper "ablate-masterworker" "A2: combined construct vs master/worker lowering"
+      ablate_masterworker;
+    paper "ablate-schedule" "A3: loop schedules on a triangular loop" ablate_schedule;
+    paper "ablate-barrier" "A4: named-barrier rounding X = 32*ceil(N/32)" ablate_barrier;
+    paper "ablate-sections" "A5: sections anti-divergence vs a naive counter" ablate_sections ]
+
+let registry =
+  { (paper "all" "figures, extras and the five ablations, in order (the default)" ignore) with
+    run = (fun ~smoke ~check ->
+      List.iter (fun m -> ignore (m.run ~smoke ~check)) paper_modes;
+      (None, None)) }
+  :: paper_modes
+  @ List.map
+      (fun (app : Polybench.Suite.app) ->
+        paper app.ap_figure ("one Fig. 4 panel: " ^ app.ap_title) (fun () ->
+            ignore (run_figure app)))
+      Polybench.Suite.all
+  @ [ gated "overlap" Sim "target nowait pipeline: async vs sync vs host, overlap evidence" overlap;
+      gated "fault-matrix" Sim "suite apps under fault plans: bit-checked, recovery in the trace"
+        fault_matrix;
+      gated "memshift" Sim ~headline:(Per_app "speedup_elide")
+        "copy vs zero-copy vs transfer elision on persistent host arrays" memshift;
+      gated "autopolicy" Sim ~headline:(Per_app "speedup_auto")
+        "automatic per-buffer memory policy vs each forced mode" autopolicy;
+      gated "jit" Wall ~headline:(Scalar "max_speedup")
+        "closure JIT vs tree-walking interpreter; one app must clear 3x" jit_bench;
+      gated "serve" Sim ~headline:(Scalar "speedup_throughput")
+        "ompiserve: stream pool vs serialized throughput, plus a fault leg" serve_bench;
+      gated "reduction" Sim ~headline:(Scalar "speedup")
+        "multi-team tree reduce vs serialized, order-exact model + fault cells" reduction_bench;
+      gated "multidev" Sim ~headline:(Scalar "speedup_4dev")
+        "gemm and dot sharded over 1/2/4-device farms + a secondary-death cell" multidev_bench ]
+
+let headline_name = function Scalar key -> key | Per_app key -> "apps[]." ^ key
+
+(* The headline numbers of a BENCH document, labelled; absent ones are
+   left out. *)
+let headline_values h doc =
+  let number key d = Option.bind (Perf.Json.member key d) Perf.Json.to_number_opt in
+  match h with
+  | Scalar key -> Option.to_list (Option.map (fun v -> (key, v)) (number key doc))
+  | Per_app key ->
+    List.filter_map
+      (fun app ->
+        let name = Option.bind (Perf.Json.member "app" app) Perf.Json.to_string_opt in
+        match (name, number key app) with Some a, Some v -> Some (a ^ "." ^ key, v) | _ -> None)
+      (Option.value ~default:[] (Option.bind (Perf.Json.member "apps" doc) Perf.Json.to_list_opt))
+
+let artifact dir m = Filename.concat dir ("BENCH_" ^ m.name ^ ".json")
+
+(* Runs one mode, writes its artifacts into [dir] and prints its verdict
+   line; true when every check passed. *)
+let run_mode ~smoke ~dir m =
+  let failures = ref 0 in
+  let check ok msg =
+    if not ok then begin
+      incr failures;
+      say "  FAIL: %s\n" msg
+    end
+  in
+  (match m.run ~smoke ~check with
+  | doc, trace ->
+    Option.iter
+      (fun doc ->
+        let file = artifact dir m in
+        Out_channel.with_open_bin file (fun oc ->
+            output_string oc (Perf.Json.to_string doc ^ "\n"));
+        say "  [written: %s]\n" file)
+      doc;
+    Option.iter
+      (fun tr ->
+        let file = Filename.concat dir (m.name ^ "_trace.json") in
+        Perf.Chrome_trace.write_file file tr;
+        say "  [trace: %d events written to %s]\n" (Perf.Trace.length tr) file)
+      trace
+  | exception e -> check false ("uncaught exception " ^ Printexc.to_string e));
+  if !failures = 0 then say "%s: PASS\n" m.name
+  else say "%s: FAIL (%d check(s))\n" m.name !failures;
+  !failures = 0
+
+let load path =
+  if not (Sys.file_exists path) then Error ("missing: " ^ path)
+  else
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    match Perf.Json.of_string text with
+    | Ok doc -> Ok (text, doc)
+    | Error msg -> Error (Printf.sprintf "unparseable: %s: %s" path msg)
+
+(* Fresh artifacts against the committed baselines: a simulated-clock
+   artifact must be byte-identical, and every headline must reach 0.85x
+   its baseline (the only gate a wall-clock artifact gets). *)
+let gate base fresh =
+  let tolerance = 0.85 in
+  let failures = ref 0 in
+  let fail msg =
+    incr failures;
+    say "  FAIL: %s\n" msg
+  in
+  say "gate: fresh %s vs baseline %s (headline floor %.2fx)\n" fresh base tolerance;
+  List.iter
+    (fun m ->
+      match (m.headline, load (artifact base m), load (artifact fresh m)) with
+      | None, _, _ -> ()
+      | Some h, Ok (base_text, base_doc), Ok (fresh_text, fresh_doc) ->
+        if m.clock = Sim then begin
+          if base_text = fresh_text then say "  %-12s byte-identical\n" m.name
+          else fail (artifact fresh m ^ " differs from " ^ artifact base m)
+        end;
+        let fresh_values = headline_values h fresh_doc in
+        if headline_values h base_doc = [] then
+          fail (Printf.sprintf "%s: no %s headline" (artifact base m) (headline_name h));
+        List.iter
+          (fun (label, b) ->
+            match List.assoc_opt label fresh_values with
+            | None -> fail (Printf.sprintf "%s: %s missing from the fresh run" m.name label)
+            | Some f ->
+              let floor = b *. tolerance in
+              say "  %-12s %-28s baseline %6.3f  fresh %6.3f  floor %6.3f  %s\n" m.name label b f
+                floor
+                (if f >= floor then "ok" else "REGRESSION");
+              if f < floor then fail (Printf.sprintf "%s %s regressed" m.name label))
+          (headline_values h base_doc)
+      | Some _, b, f ->
+        List.iter (function Error msg -> fail msg | Ok _ -> ()) [ b; f ])
+    registry;
   if !failures > 0 then begin
-    say "multidev: FAIL (%d check(s))\n" !failures;
+    say "gate: FAIL (%d check(s))\n" !failures;
     exit 1
   end;
-  say "multidev: PASS (%.2fx at 4 devices)\n" g4_sp
+  say "gate: PASS\n"
+
+let usage () =
+  prerr_endline
+    "usage: main.exe [MODE [--smoke]] | trace APP N FILE | smoke DIR | gate BASE FRESH\n\
+     A mode with a headline writes BENCH_<mode>.json (and a trace, where it has one, to\n\
+     <mode>_trace.json); smoke DIR runs every [--smoke] mode into DIR; gate compares two\n\
+     such directories.\n\n\
+       mode                         clock  headline              what it measures";
+  List.iter
+    (fun m ->
+      Printf.eprintf "  %-28s %-5s  %-20s  %s\n"
+        (m.name ^ if m.has_smoke then " [--smoke]" else "")
+        (match m.clock with Sim -> "sim" | Wall -> "wall")
+        (Option.fold ~none:"-" ~some:headline_name m.headline)
+        m.doc)
+    registry;
+  exit 2
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--") in
-  match args with
-  | [] | [ "all" ] ->
-    all_figures ();
-    extras ();
-    ablate_binmode ();
-    ablate_masterworker ();
-    ablate_schedule ();
-    ablate_barrier ();
-    ablate_sections ();
-    micro ()
-  | [ "figures" ] -> all_figures ()
-  | [ "extras" ] -> extras ()
-  | [ "micro" ] -> micro ()
-  | [ "ablate-binmode" ] -> ablate_binmode ()
-  | [ "ablate-masterworker" ] -> ablate_masterworker ()
-  | [ "ablate-schedule" ] -> ablate_schedule ()
-  | [ "ablate-barrier" ] -> ablate_barrier ()
-  | [ "ablate-sections" ] -> ablate_sections ()
+  let find name = List.find_opt (fun m -> m.name = name) registry in
+  let run_one ~smoke name =
+    exit (if run_mode ~smoke ~dir:Filename.current_dir_name (Option.get (find name)) then 0 else 1)
+  in
+  match Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--") with
+  | [] -> run_one ~smoke:false "all"
   | [ "trace"; name; n; file ] -> trace_app name (int_of_string n) file
-  | [ "overlap" ] -> overlap ~smoke:false ()
-  | [ "overlap"; "--smoke" ] -> overlap ~smoke:true ()
-  | [ "fault-matrix" ] -> fault_matrix ~smoke:false ()
-  | [ "fault-matrix"; "--smoke" ] -> fault_matrix ~smoke:true ()
-  | [ "memshift" ] -> memshift ~smoke:false ()
-  | [ "memshift"; "--smoke" ] -> memshift ~smoke:true ()
-  | [ "autopolicy" ] -> autopolicy ~smoke:false ()
-  | [ "autopolicy"; "--smoke" ] -> autopolicy ~smoke:true ()
-  | [ "jit" ] -> jit_bench ~smoke:false ()
-  | [ "jit"; "--smoke" ] -> jit_bench ~smoke:true ()
-  | [ "serve" ] -> serve_bench ~smoke:false ()
-  | [ "serve"; "--smoke" ] -> serve_bench ~smoke:true ()
-  | [ "reduction" ] -> reduction_bench ~smoke:false ()
-  | [ "reduction"; "--smoke" ] -> reduction_bench ~smoke:true ()
-  | [ "multidev" ] -> multidev_bench ~smoke:false ()
-  | [ "multidev"; "--smoke" ] -> multidev_bench ~smoke:true ()
-  | [ id ] when figure_by_id id <> None -> ignore (run_figure (Option.get (figure_by_id id)))
-  | args ->
-    prerr_endline ("unknown benchmark target: " ^ String.concat " " args);
-    exit 2
+  | [ "smoke"; dir ] ->
+    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+    let failed =
+      List.filter (fun m -> m.has_smoke && not (run_mode ~smoke:true ~dir m)) registry
+    in
+    if failed <> [] then begin
+      say "smoke: FAIL (%s)\n" (String.concat ", " (List.map (fun m -> m.name) failed));
+      exit 1
+    end;
+    say "smoke: PASS\n"
+  | [ "gate"; base; fresh ] -> gate base fresh
+  | [ name ] when Option.is_some (find name) -> run_one ~smoke:false name
+  | [ name; "--smoke" ] when Option.fold ~none:false ~some:(fun m -> m.has_smoke) (find name) ->
+    run_one ~smoke:true name
+  | _ -> usage ()
