@@ -3,8 +3,9 @@
    The same engine is used in two roles:
    - host role: executes the translated host program, with the ORT host
      runtime registered as builtins;
-   - device role: one instance per GPU thread, with the cudadev device
-     library registered as builtins, driven by the SIMT scheduler.
+   - device role: one instance per GPU thread, driven by the SIMT
+     scheduler; the threads of a block share one builtin table holding
+     the cudadev device library.
 
    Per-operation hooks ([on_step], [on_access]) feed the performance
    model without contaminating the semantics. *)
@@ -25,20 +26,22 @@ type step =
   | St_call
   | St_special (* sqrt and friends *)
 
-type access = { acc_kind : [ `Load | `Store ]; acc_addr : Addr.t; acc_bytes : int }
-
 type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 
 type t = {
   structs : Cty.layout_env;
   funcs : (string, Ast.fundef) Hashtbl.t;
-  builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
+  (* In the device role one table serves every thread of a block; a
+     builtin finds its caller through the context it is passed. *)
+  builtins : (string, builtin) Hashtbl.t;
   resolve : Addr.space -> Mem.t; (* address space -> backing memory *)
   local : Mem.t; (* this execution context's stack *)
+  thread : int; (* linear id of the GPU thread within its block; 0 on the host *)
   globals : (string, Cty.t * Addr.t) Hashtbl.t;
   strings : (string, Addr.t) Hashtbl.t;
   mutable on_step : step -> unit;
-  mutable on_access : access -> unit;
+  (* every scalar load/store: kind, space, byte offset, byte count *)
+  mutable on_access : [ `Load | `Store ] -> Addr.space -> int -> int -> unit;
   (* Shared-variable registry: declarations marked __shared__ resolve
      here so that all threads of a block see a single instance. *)
   shared_decl : (string -> Cty.t -> Addr.t) option;
@@ -54,24 +57,40 @@ type t = {
   mutable dispatch : (t -> Ast.fundef -> Value.t list -> Value.t) option;
 }
 
-let create ~structs ~funcs ~resolve ~local ?shared_decl ?(output = Buffer.create 256) () =
+and builtin = t -> Value.t list -> Value.t
+
+let create ~structs ~funcs ~resolve ~local ?(builtins = Hashtbl.create 64) ?(thread = 0) ?shared_decl
+    ?(output = Buffer.create 256) () =
   (* Interned string literals live in a private arena outside any frame
-     so that stack rollback cannot invalidate the intern cache. *)
-  let strings_arena = Mem.create ~initial:1024 ~space:Addr.Strings "strings" in
-  let resolve = function Addr.Strings -> strings_arena | sp -> resolve sp in
+     so that stack rollback cannot invalidate the intern cache.  Most
+     device threads intern nothing, so the arena is made on first use. *)
+  let strings_arena = ref None in
+  let resolve = function
+    | Addr.Strings -> (
+      match !strings_arena with
+      | Some m -> m
+      | None ->
+        let m = Mem.create ~initial:1024 ~space:Addr.Strings "strings" in
+        strings_arena := Some m;
+        m)
+    | sp -> resolve sp
+  in
   {
     structs;
     funcs;
-    builtins = Hashtbl.create 64;
+    builtins;
     resolve;
     local;
+    thread;
     globals = Hashtbl.create 16;
-    strings = Hashtbl.create 16;
+    (* grown on demand: most device threads intern no string and take
+       no function pointer *)
+    strings = Hashtbl.create 1;
     on_step = (fun _ -> ());
-    on_access = (fun _ -> ());
+    on_access = (fun _ _ _ _ -> ());
     shared_decl;
     output;
-    fn_ptrs = Hashtbl.create 8;
+    fn_ptrs = Hashtbl.create 1;
     frames = [];
     depth = 0;
     max_depth = 256;
@@ -117,31 +136,31 @@ let sizeof ctx ty = Cty.sizeof ctx.structs ty
 
 let load ctx (a : Addr.t) (ty : Cty.t) : Value.t =
   let m = ctx.resolve a.Addr.space in
-  (match ty with
-  | Cty.Array _ | Cty.Struct _ | Cty.Func _ -> ()
-  | _ -> ctx.on_access { acc_kind = `Load; acc_addr = a; acc_bytes = sizeof ctx ty });
   match ty with
+  | Cty.Array (elt, _) -> Value.ptr ~ty:elt a (* array lvalue decays to pointer *)
   | Cty.Struct _ -> Value.ptr a (* struct rvalues are handled by address *)
   | Cty.Func _ -> runtime_error "load of function type"
-  | _ -> Mem.load_scalar m ctx.structs a ty
+  | _ ->
+    ctx.on_access `Load a.Addr.space a.Addr.off (sizeof ctx ty);
+    Mem.load_at m ctx.local.Mem.ptr_cache a.Addr.off ty
 
 let store ctx (a : Addr.t) (ty : Cty.t) (v : Value.t) : unit =
   let m = ctx.resolve a.Addr.space in
-  ctx.on_access { acc_kind = `Store; acc_addr = a; acc_bytes = sizeof ctx ty };
-  Mem.store_scalar m ctx.structs a ty (Value.cast (Cty.decay ty) v)
+  ctx.on_access `Store a.Addr.space a.Addr.off (sizeof ctx ty);
+  Mem.store_at m a.Addr.off ty (Value.cast (Cty.decay ty) v)
 
-(* [load]/[store] for a scalar type whose byte size the caller resolved
-   once ahead of time (the closure JIT knows slot types at compile time,
-   so it need not re-derive the size on every access). *)
-let load_sized ctx (a : Addr.t) (ty : Cty.t) ~(bytes : int) : Value.t =
-  let m = ctx.resolve a.Addr.space in
-  ctx.on_access { acc_kind = `Load; acc_addr = a; acc_bytes = bytes };
-  Mem.load_scalar m ctx.structs a ty
+(* [load]/[store] of a scalar type at [space]/[off], with the byte size
+   resolved by the caller: the closure JIT knows slot and element types
+   at compile time, and an indexed access need not build an address. *)
+let load_at ctx (space : Addr.space) (off : int) (ty : Cty.t) ~(bytes : int) : Value.t =
+  let m = ctx.resolve space in
+  ctx.on_access `Load space off bytes;
+  Mem.load_at m ctx.local.Mem.ptr_cache off ty
 
-let store_sized ctx (a : Addr.t) (ty : Cty.t) ~(bytes : int) (v : Value.t) : unit =
-  let m = ctx.resolve a.Addr.space in
-  ctx.on_access { acc_kind = `Store; acc_addr = a; acc_bytes = bytes };
-  Mem.store_scalar m ctx.structs a ty (Value.cast ty v)
+let store_at ctx (space : Addr.space) (off : int) (ty : Cty.t) ~(bytes : int) (v : Value.t) : unit =
+  let m = ctx.resolve space in
+  ctx.on_access `Store space off bytes;
+  Mem.store_at m off ty (Value.cast ty v)
 
 let intern_string ctx (s : string) : Addr.t =
   match Hashtbl.find_opt ctx.strings s with
@@ -622,8 +641,9 @@ let format_printf ctx (fmt_string : string) (args : Value.t list) : string =
   Buffer.contents buf
 
 (* Default builtins shared by host and device roles. *)
-let install_common_builtins ctx =
-  register_builtin ctx "printf" (fun ctx args ->
+let add_common_builtins (table : (string, builtin) Hashtbl.t) =
+  let reg name fn = Hashtbl.replace table name fn in
+  reg "printf" (fun ctx args ->
       match args with
       | fmt :: rest ->
         let s = format_printf ctx (read_c_string ctx (Value.as_addr fmt)) rest in
@@ -631,14 +651,14 @@ let install_common_builtins ctx =
         Value.of_int (String.length s)
       | [] -> runtime_error "printf: missing format");
   let float1 name fn cost =
-    register_builtin ctx name (fun ctx args ->
+    reg name (fun ctx args ->
         step ctx cost;
         match args with
         | [ a ] -> Value.flt ~ty:Cty.Double (fn (Value.as_float a))
         | _ -> runtime_error "%s expects 1 argument" name)
   in
   let float1f name fn =
-    register_builtin ctx name (fun ctx args ->
+    reg name (fun ctx args ->
         step ctx St_special;
         match args with
         | [ a ] -> Value.flt ~ty:Cty.Float (fn (Value.as_float a))
@@ -651,16 +671,18 @@ let install_common_builtins ctx =
   float1f "sqrtf" sqrt;
   float1f "fabsf" abs_float;
   float1f "expf" exp;
-  register_builtin ctx "pow" (fun ctx args ->
+  reg "pow" (fun ctx args ->
       step ctx St_special;
       match args with
       | [ a; b ] -> Value.flt ~ty:Cty.Double (Float.pow (Value.as_float a) (Value.as_float b))
       | _ -> runtime_error "pow expects 2 arguments");
-  register_builtin ctx "abs" (fun ctx args ->
+  reg "abs" (fun ctx args ->
       step ctx St_arith;
       match args with
       | [ a ] -> Value.int ~ty:Cty.Int (Int64.abs (Value.as_int a))
       | _ -> runtime_error "abs expects 1 argument")
+
+let install_common_builtins ctx = add_common_builtins ctx.builtins
 
 (* Load a program's function definitions into the context's table. *)
 let load_program ctx (p : Ast.program) =

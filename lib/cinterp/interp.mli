@@ -3,8 +3,9 @@
     The same engine is used in two roles:
     - host role: executes the translated host program, with the ORT host
       runtime registered as builtins;
-    - device role: one instance per GPU thread, with the cudadev device
-      library registered as builtins, driven by the SIMT scheduler.
+    - device role: one instance per GPU thread, driven by the SIMT
+      scheduler; the threads of a block share one builtin table holding
+      the cudadev device library.
 
     Per-operation hooks ({!t.on_step}, {!t.on_access}) feed the
     performance model without contaminating the semantics. *)
@@ -19,20 +20,24 @@ val runtime_error : ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Instruction classes for the cost model. *)
 type step = St_arith | St_mul | St_div | St_branch | St_call | St_special
 
-type access = { acc_kind : [ `Load | `Store ]; acc_addr : Addr.t; acc_bytes : int }
-
 type frame = { vars : (string, Cty.t * Addr.t) Hashtbl.t; saved_mark : int }
 
 type t = {
   structs : Cty.layout_env;
   funcs : (string, Ast.fundef) Hashtbl.t;
-  builtins : (string, t -> Value.t list -> Value.t) Hashtbl.t;
+  builtins : (string, builtin) Hashtbl.t;
+      (** in the device role, one table shared by every thread of a block *)
   resolve : Addr.space -> Mem.t;  (** address space -> backing memory *)
   local : Mem.t;  (** this context's stack (all declared variables) *)
+  thread : int;
+      (** linear id of the GPU thread within its block (0 in the host
+          role); how a shared builtin identifies its caller *)
   globals : (string, Cty.t * Addr.t) Hashtbl.t;
   strings : (string, Addr.t) Hashtbl.t;
   mutable on_step : step -> unit;
-  mutable on_access : access -> unit;
+  mutable on_access : [ `Load | `Store ] -> Addr.space -> int -> int -> unit;
+      (** every scalar load and store: kind, space, byte offset, byte
+          count *)
   shared_decl : (string -> Cty.t -> Addr.t) option;
       (** resolver for [__shared__] declarations (device role only) *)
   output : Buffer.t;  (** printf destination *)
@@ -46,17 +51,22 @@ type t = {
           tree-walker *)
 }
 
+and builtin = t -> Value.t list -> Value.t
+
+(** [builtins] defaults to a fresh table, [thread] to 0. *)
 val create :
   structs:Cty.layout_env ->
   funcs:(string, Ast.fundef) Hashtbl.t ->
   resolve:(Addr.space -> Mem.t) ->
   local:Mem.t ->
+  ?builtins:(string, builtin) Hashtbl.t ->
+  ?thread:int ->
   ?shared_decl:(string -> Cty.t -> Addr.t) ->
   ?output:Buffer.t ->
   unit ->
   t
 
-val register_builtin : t -> string -> (t -> Value.t list -> Value.t) -> unit
+val register_builtin : t -> string -> builtin -> unit
 
 val register_global : t -> string -> Cty.t -> Addr.t -> unit
 
@@ -68,12 +78,13 @@ val load : t -> Addr.t -> Cty.t -> Value.t
 
 val store : t -> Addr.t -> Cty.t -> Value.t -> unit
 
-(** [load]/[store] for a scalar (non-array, non-struct) type whose byte
-    size the caller resolved once ahead of time; the closure JIT uses
-    these for slot accesses where the type is known at compile time. *)
-val load_sized : t -> Addr.t -> Cty.t -> bytes:int -> Value.t
+(** [load]/[store] of a scalar (non-array, non-struct) type at a space
+    and byte offset, with the byte size resolved by the caller; the
+    closure JIT uses these where types are known at compile time, and
+    for indexed accesses without building an address. *)
+val load_at : t -> Addr.space -> int -> Cty.t -> bytes:int -> Value.t
 
-val store_sized : t -> Addr.t -> Cty.t -> bytes:int -> Value.t -> unit
+val store_at : t -> Addr.space -> int -> Cty.t -> bytes:int -> Value.t -> unit
 
 val intern_string : t -> string -> Addr.t
 
@@ -124,7 +135,11 @@ val apply_binop : t -> Ast.binop -> Value.t -> Value.t -> Value.t
     already charged it (the JIT's specialized arithmetic closures). *)
 val apply_binop_unstepped : t -> Ast.binop -> Value.t -> Value.t -> Value.t
 
-(** printf/math builtins shared by the host and device roles. *)
+(** printf/math builtins shared by the host and device roles, added to a
+    builtin table. *)
+val add_common_builtins : (string, builtin) Hashtbl.t -> unit
+
+(** [add_common_builtins] on the context's own table. *)
 val install_common_builtins : t -> unit
 
 (** Load a program's function definitions and struct layouts. *)

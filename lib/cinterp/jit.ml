@@ -201,6 +201,11 @@ let invoke (inst : inst) (cf : cfun) (args : Value.t list) : Value.t =
 (* Expression compilation                                             *)
 (* ---------------------------------------------------------------- *)
 
+(* Scalar access to a variable slot's address. *)
+let load_slot ctx (a : Addr.t) ty ~bytes = Interp.load_at ctx a.Addr.space a.Addr.off ty ~bytes
+
+let store_slot ctx (a : Addr.t) ty ~bytes v = Interp.store_at ctx a.Addr.space a.Addr.off ty ~bytes v
+
 let seq (l : cstmt list) : cstmt =
   match l with
   | [] -> fun _ -> ()
@@ -242,7 +247,7 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
       | Cty.Func _ -> fun _ -> Interp.runtime_error "function used as value"
       | ty -> (
         match scalar_bytes k ty with
-        | Some bytes -> fun env -> Interp.load_sized env.e_inst.i_ctx env.e_frame.(slot) ty ~bytes
+        | Some bytes -> fun env -> load_slot env.e_inst.i_ctx env.e_frame.(slot) ty ~bytes
         | None -> fun env -> Interp.load env.e_inst.i_ctx env.e_frame.(slot) ty))
     | None ->
       let idx = cell_index k x in
@@ -258,9 +263,10 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
          | Some (_, Cty.Ptr elt) -> scalar_bytes k elt <> None
          | _ -> false ->
     (* [p[i]] with [p] a bound pointer-to-scalar local: the pointee type
-       and both access sizes are static, and no (addr, ty) tuple is
-       built.  Stores into the slot are cast to [Ptr elt], so the
-       runtime pointee always equals the static one. *)
+       and both access sizes are static, and neither an (addr, ty) tuple
+       nor the element's address is built.  Stores into the slot are
+       cast to [Ptr elt], so the runtime pointee always equals the
+       static one. *)
     let slot, elt =
       match List.assoc_opt x k.k_scope with
       | Some (slot, Cty.Ptr elt) -> (slot, elt)
@@ -272,11 +278,12 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
     let ci = compile_expr k i in
     fun env ->
       let ctx = env.e_inst.i_ctx in
-      let base = Interp.load_sized ctx env.e_frame.(slot) pty ~bytes:ptrsz in
+      let base = load_slot ctx env.e_frame.(slot) pty ~bytes:ptrsz in
       let idx = Value.to_int (ci env) in
       ctx.Interp.on_step Interp.St_arith;
       (match base with
-      | Value.VPtr (addr, elt) -> Interp.load_sized ctx (Addr.add addr (idx * eltsz)) elt ~bytes:eltsz
+      | Value.VPtr (addr, elt) ->
+        Interp.load_at ctx addr.Addr.space (addr.Addr.off + (idx * eltsz)) elt ~bytes:eltsz
       | v -> Interp.runtime_error "indexing non-pointer %s" (Value.show v))
   | Ast.Index _ | Ast.Member _ | Ast.Arrow _ | Ast.Deref _ ->
     let cl = compile_lvalue k e in
@@ -306,14 +313,13 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
     let cr = compile_expr k rhs in
     fun env ->
       let ctx = env.e_inst.i_ctx in
-      let base = Interp.load_sized ctx env.e_frame.(slot) pty ~bytes:ptrsz in
+      let base = load_slot ctx env.e_frame.(slot) pty ~bytes:ptrsz in
       let idx = Value.to_int (ci env) in
       ctx.Interp.on_step Interp.St_arith;
       (match base with
       | Value.VPtr (addr, elt) ->
-        let a = Addr.add addr (idx * eltsz) in
         let v = Value.cast elt (cr env) in
-        Interp.store_sized ctx a elt ~bytes:eltsz v;
+        Interp.store_at ctx addr.Addr.space (addr.Addr.off + (idx * eltsz)) elt ~bytes:eltsz v;
         v
       | v -> Interp.runtime_error "indexing non-pointer %s" (Value.show v))
   | Ast.Assign (None, Ast.Ident x, rhs)
@@ -328,7 +334,7 @@ let rec compile_expr k (e : Ast.expr) : cexpr =
     fun env ->
       let ctx = env.e_inst.i_ctx in
       let v = Value.cast ty (cr env) in
-      Interp.store_sized ctx env.e_frame.(slot) ty ~bytes v;
+      store_slot ctx env.e_frame.(slot) ty ~bytes v;
       v
   | Ast.Assign (op, lhs, rhs) -> (
     let cl = compile_lvalue k lhs in
@@ -503,13 +509,13 @@ and compile_unop k (op : Ast.unop) (a : Ast.expr) : cexpr =
       let ctx = env.e_inst.i_ctx in
       ctx.Interp.on_step Interp.St_arith;
       let addr = env.e_frame.(slot) in
-      let old = Interp.load_sized ctx addr Cty.Int ~bytes:4 in
+      let old = load_slot ctx addr Cty.Int ~bytes:4 in
       let updated =
         match old with
         | Value.VInt (i, _) -> Value.of_int (Int64.to_int i + delta)
         | v -> Interp.runtime_error "increment of %s" (Value.show v)
       in
-      Interp.store_sized ctx addr Cty.Int ~bytes:4 updated;
+      store_slot ctx addr Cty.Int ~bytes:4 updated;
       if post then old else updated
   | Ast.PreInc | Ast.PreDec | Ast.PostInc | Ast.PostDec ->
     let cl = compile_lvalue k a in

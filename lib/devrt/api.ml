@@ -1,7 +1,8 @@
 (* The cudadev device runtime library (paper §4.2.2), exposed to kernel
-   code as interpreter builtins.  One [install] call per GPU thread wires
-   the library to that thread's interpreter instance, closing over the
-   SIMT block/thread state. *)
+   code as interpreter builtins.  One [install] call per block adds the
+   library to the block's builtin table, closing over the SIMT block
+   state; a builtin finds its calling thread through the interpreter
+   context it is passed. *)
 
 open Machine
 open Gpusim
@@ -128,19 +129,20 @@ let atomic_rmw ctx (bs : Simt.block_state) (ptr : Value.t) (f : Value.t -> Value
 (* Installation                                                       *)
 (* ---------------------------------------------------------------- *)
 
-let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_state) : unit =
+let install (bs : Simt.block_state) (table : (string, Cinterp.Interp.builtin) Hashtbl.t) : unit =
   let spec = bs.bs_spec in
   let block_threads = Simt.dim3_total bs.bs_block_dim in
-  let omp = { omp_id = ts.ts_lin; omp_num = block_threads } in
-  let reg name fn = Cinterp.Interp.register_builtin ctx name fn in
+  let omps = Array.init block_threads (fun i -> { omp_id = i; omp_num = block_threads }) in
+  let omp_of (ctx : Cinterp.Interp.t) = omps.(ctx.Cinterp.Interp.thread) in
+  let reg name fn = Hashtbl.replace table name fn in
 
   (* -------- identity -------- *)
-  reg "cudadev_thread_id" (fun _ _ -> ret_int ts.ts_lin);
+  reg "cudadev_thread_id" (fun ctx _ -> ret_int ctx.Cinterp.Interp.thread);
   reg "cudadev_team_id" (fun _ _ -> ret_int (team_linear bs));
   reg "cudadev_num_teams" (fun _ _ -> ret_int (num_teams bs));
   reg "cudadev_num_threads" (fun _ _ -> ret_int block_threads);
-  reg "omp_get_thread_num" (fun _ _ -> ret_int omp.omp_id);
-  reg "omp_get_num_threads" (fun _ _ -> ret_int omp.omp_num);
+  reg "omp_get_thread_num" (fun ctx _ -> ret_int (omp_of ctx).omp_id);
+  reg "omp_get_num_threads" (fun ctx _ -> ret_int (omp_of ctx).omp_num);
   reg "omp_get_team_num" (fun _ _ -> ret_int (team_linear bs));
   reg "omp_get_num_teams" (fun _ _ -> ret_int (num_teams bs));
   reg "omp_is_initial_device" (fun _ _ -> ret_int 0);
@@ -178,6 +180,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
           if not bs.bs_target_done then begin
             (match bs.bs_region with
             | Some r when wid < r.Simt.pr_nthreads ->
+              let omp = omp_of ctx in
               let saved_id = omp.omp_id and saved_num = omp.omp_num in
               omp.omp_id <- wid;
               omp.omp_num <- r.Simt.pr_nthreads;
@@ -269,6 +272,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
   reg "cudadev_get_static_chunk" (fun ctx args ->
       match args with
       | [ lb_out; ub_out; lo; hi ] ->
+        let omp = omp_of ctx in
         let r =
           Sched.static_chunk ~thread:omp.omp_id ~num_threads:omp.omp_num
             { Sched.lo = int_arg lo; hi = int_arg hi }
@@ -296,7 +300,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
           Simt.yield ();
           ret_int 1
         | None ->
-          dyn_drained bs rid (max 1 omp.omp_num);
+          dyn_drained bs rid (max 1 (omp_of ctx).omp_num);
           ret_int 0)
       | _ -> bad_args "cudadev_get_dynamic_chunk");
   reg "cudadev_get_guided_chunk" (fun ctx args ->
@@ -307,6 +311,7 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
         let range = { Sched.lo = int_arg lo; hi = int_arg hi } in
         let counter = dyn_counter bs rid ~init:range.Sched.lo in
         bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
+        let omp = omp_of ctx in
         (match Sched.guided_chunk ~counter:!counter ~num_threads:(max 1 omp.omp_num) ~min_chunk:minchunk range with
         | Some r ->
           counter := r.Sched.hi;
@@ -319,20 +324,20 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
           dyn_drained bs rid (max 1 omp.omp_num);
           ret_int 0)
       | _ -> bad_args "cudadev_get_guided_chunk");
-  reg "cudadev_ws_barrier" (fun _ args ->
+  reg "cudadev_ws_barrier" (fun ctx args ->
       match args with
       | [ rid; nthr ] ->
         let nthr = int_arg nthr in
-        let nthr = if nthr <= 0 then omp.omp_num else nthr in
+        let nthr = if nthr <= 0 then (omp_of ctx).omp_num else nthr in
         ws_finish bs (int_arg rid) nthr;
         Simt.bar_sync barrier_id_user nthr;
         ret_void
       | _ -> bad_args "cudadev_ws_barrier");
-  reg "cudadev_barrier" (fun _ args ->
+  reg "cudadev_barrier" (fun ctx args ->
       match args with
       | [ nthr ] ->
         let n = int_arg nthr in
-        let n = if n <= 0 then omp.omp_num else n in
+        let n = if n <= 0 then (omp_of ctx).omp_num else n in
         (* The paper's rounding rule X = W * ceil(N/W) is applied for the
            cost side inside the scheduler; participation is exact. *)
         Simt.bar_sync barrier_id_user n;
@@ -344,14 +349,15 @@ let install (ctx : Cinterp.Interp.t) (bs : Simt.block_state) (ts : Simt.thread_s
      different warps" (§4.2.2): the first sections are reserved for one
      leader lane per warp; only once every warp leader is busy does the
      shared counter hand sections to arbitrary threads. *)
-  reg "cudadev_sections_next" (fun _ args ->
+  reg "cudadev_sections_next" (fun ctx args ->
       match args with
       | [ rid; nsections ] ->
         let rid = int_arg rid and nsections = int_arg nsections in
         let c = section_counter bs rid in
         bs.bs_counters.Counters.atomics <- bs.bs_counters.Counters.atomics + 1;
+        let omp = omp_of ctx in
         let warp = spec.Spec.warp_size in
-        let my_warp = ts.Simt.ts_lin / warp in
+        let my_warp = ctx.Cinterp.Interp.thread / warp in
         let grant mine =
           incr c;
           (* ablation bookkeeping: did this warp already own a section? *)

@@ -1,9 +1,10 @@
 (** The cudadev device runtime library (paper 4.2.2), exposed to kernel
     code as interpreter builtins.
 
-    One {!install} call per GPU thread wires the library to that
-    thread's interpreter instance, closing over the SIMT block/thread
-    state.  Installed entry points include:
+    One {!install} call per block adds the library to the block's
+    builtin table, closing over the SIMT block state; each builtin finds
+    its calling thread through the interpreter context it is passed
+    ({!Cinterp.Interp.t.thread}).  Installed entry points include:
 
     - identity: [cudadev_thread_id], [cudadev_team_id],
       [omp_get_thread_num], [omp_get_num_threads], ...;
@@ -23,8 +24,9 @@
 
 exception Devrt_error of string
 
-(** Per-thread OpenMP execution context (thread id / team size); the
-    master/worker engine overrides it for the duration of a region. *)
+(** Per-thread OpenMP execution context (thread id / team size), one
+    per thread of the block; the master/worker engine overrides it for
+    the duration of a region. *)
 type omp_ctx = { mutable omp_id : int; mutable omp_num : int }
 
 val b1_participants : Gpusim.Simt.block_state -> int
@@ -35,4 +37,4 @@ val barrier_id_b2 : int
 
 val barrier_id_user : int
 
-val install : Cinterp.Interp.t -> Gpusim.Simt.block_state -> Gpusim.Simt.thread_state -> unit
+val install : Gpusim.Simt.block_state -> (string, Cinterp.Interp.builtin) Hashtbl.t -> unit

@@ -3,13 +3,12 @@
    Instruction counts are kept per thread within the running block and
    folded into per-warp maxima at block retirement, which approximates
    SIMT lockstep cost under divergence.  Global-memory coalescing is
-   sampled on warp 0 of the first executed block: the k-th access of
-   each lane to a given allocation is assumed to correspond to the same
-   static memory instruction, so the number of distinct transaction
-   segments covered by the 32 lanes at position k estimates the
-   transactions issued for that warp-instruction. *)
-
-open Machine
+   sampled on every warp of the first [max_sample_blocks] (8) simulated
+   blocks that touch global memory: the k-th access of each lane to a
+   given allocation is assumed to correspond to the same static memory
+   instruction, so the number of distinct transaction segments covered
+   by a warp's lanes at position k estimates the transactions issued for
+   that warp-instruction. *)
 
 module Int_set = Set.Make (Int)
 
@@ -38,9 +37,12 @@ type alloc_stats = {
      later shard may legally read after another shard wrote them *)
   mutable a_atomic_lo : int;
   mutable a_atomic_hi : int;
-  (* warp-0 sampling: (block, access index) -> segment set + lane count *)
-  samples : (int, Int_set.t ref * int ref) Hashtbl.t;
+  (* coalescing samples keyed by (sampled block, warp, access index) *)
+  samples : (int, sample) Hashtbl.t;
 }
+
+(* The segments one warp-instruction touched, and how many lanes issued it. *)
+and sample = { mutable segs : Int_set.t; mutable lanes : int }
 
 (* Zero-copy traffic per pinned range, so the memory policy can weigh a
    specific buffer's observed access volume against its transfer cost. *)
@@ -74,10 +76,15 @@ type t = {
   mutable alloc_table_stats : alloc_stats array;
   (* pinned host ranges visible to the device (zero-copy): sorted (off, len, id) *)
   mutable pinned_table : (int * int * int) array;
-  (* Coalescing is sampled on warp 0 of the first [max_sample_blocks]
-     simulated blocks; [sample_block_seq] is the index of the block
-     currently contributing samples, or -1 when sampling is off. *)
+  (* Coalescing is sampled on every warp of the first
+     [max_sample_blocks] simulated blocks that touch global memory;
+     [sample_block_seq] is the index of the block currently contributing
+     samples, or -1 when sampling is off. *)
   mutable sample_block_seq : int;
+  (* per-thread access sequence of the running sampled block: entry
+     [lin * Array.length alloc_table + slot] counts thread [lin]'s
+     accesses so far to the allocation in [alloc_table] slot [slot] *)
+  mutable access_seq : int array;
   mutable block_contributed : bool; (* did the current sampled block produce any sample? *)
   max_sample_blocks : int;
   sample_cap : int;
@@ -106,6 +113,7 @@ let create spec =
     alloc_table_stats = [||];
     pinned_table = [||];
     sample_block_seq = -1;
+    access_seq = [||];
     block_contributed = false;
     max_sample_blocks = 8;
     sample_cap = 2048;
@@ -141,41 +149,36 @@ let set_alloc_table t (allocs : (int * int * int) array) =
 
 let set_pinned_table t (ranges : (int * int * int) array) = t.pinned_table <- sorted_ranges ranges
 
-let find_range (arr : (int * int * int) array) off : int option =
-  let n = Array.length arr in
-  let rec bsearch lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let o, len, id = arr.(mid) in
-      if off < o then bsearch lo mid
-      else if off >= o + len then bsearch (mid + 1) hi
-      else Some id
-  in
-  bsearch 0 n
+(* Index of the sorted-table entry covering [off] in [lo, hi), or -1.
+   Top-level rather than a local closure, so a lookup allocates nothing. *)
+let rec bsearch (arr : (int * int * int) array) off lo hi =
+  if lo >= hi then -1
+  else
+    let mid = (lo + hi) / 2 in
+    let o, len, _ = Array.unsafe_get arr mid in
+    if off < o then bsearch arr off lo mid
+    else if off >= o + len then bsearch arr off (mid + 1) hi
+    else mid
 
-(* Like [find_range] but yielding the entry index (-1 when absent), so
-   the caller can reach the parallel stats array without a probe. *)
-let find_range_idx (arr : (int * int * int) array) off : int =
-  let n = Array.length arr in
-  let rec bsearch lo hi =
-    if lo >= hi then -1
-    else
-      let mid = (lo + hi) / 2 in
-      let o, len, _ = Array.unsafe_get arr mid in
-      if off < o then bsearch lo mid
-      else if off >= o + len then bsearch (mid + 1) hi
-      else mid
-  in
-  bsearch 0 n
+(* The entry index (-1 when absent), so the caller can reach the
+   parallel stats array without a probe. *)
+let find_range_idx (arr : (int * int * int) array) off : int = bsearch arr off 0 (Array.length arr)
 
-let find_alloc t off : int option = find_range t.alloc_table off
-
-let find_pinned t off : int option = find_range t.pinned_table off
+let find_pinned t off : int =
+  match find_range_idx t.pinned_table off with
+  | -1 -> -1
+  | i ->
+    let _, _, id = Array.unsafe_get t.pinned_table i in
+    id
 
 let begin_block t n_threads =
   if Array.length t.thread_insts < n_threads then t.thread_insts <- Array.make n_threads 0
-  else Array.fill t.thread_insts 0 n_threads 0
+  else Array.fill t.thread_insts 0 n_threads 0;
+  if t.sample_block_seq >= 0 then begin
+    let n = n_threads * Array.length t.alloc_table in
+    if Array.length t.access_seq < n then t.access_seq <- Array.make n 0
+    else Array.fill t.access_seq 0 n 0
+  end
 
 let retire_block t n_threads =
   t.blocks_executed <- t.blocks_executed + 1;
@@ -202,42 +205,36 @@ let on_step t (lin : int) (k : Cinterp.Interp.step) =
   | Cinterp.Interp.St_call -> c.call <- c.call + 1
   | Cinterp.Interp.St_special -> c.special <- c.special + 1
 
-(* [seq] is the per-thread per-allocation access counter, provided by the
-   thread state so that lanes can be aligned. *)
-let on_global_access t ~(lin : int) ~(seq : (int, int ref) Hashtbl.t) (acc : Cinterp.Interp.access) =
-  let off = acc.acc_addr.Addr.off in
+(* A global access by thread [lin] of the running block.  The thread's
+   k-th access to an allocation is aligned with the other lanes' k-th
+   through [access_seq]. *)
+let on_global_access t ~(lin : int) (kind : [ `Load | `Store ]) (off : int) (bytes : int) =
   match find_range_idx t.alloc_table off with
   | -1 -> ()
   | i ->
-    let base, _, id = Array.unsafe_get t.alloc_table i in
+    let base, _, _ = Array.unsafe_get t.alloc_table i in
     let s = Array.unsafe_get t.alloc_table_stats i in
-    (match acc.acc_kind with
+    (match kind with
     | `Load -> s.a_loads <- s.a_loads + 1
     | `Store ->
       s.a_stores <- s.a_stores + 1;
       let rel = off - base in
       if rel < s.a_store_lo then s.a_store_lo <- rel;
-      if rel + acc.acc_bytes > s.a_store_hi then s.a_store_hi <- rel + acc.acc_bytes);
+      if rel + bytes > s.a_store_hi then s.a_store_hi <- rel + bytes);
     if t.sample_block_seq >= 0 then begin
       let warp = lin / t.spec.Spec.warp_size in
-      let k =
-        match Hashtbl.find_opt seq id with
-        | Some r ->
-          incr r;
-          !r - 1
-        | None ->
-          Hashtbl.replace seq id (ref 1);
-          0
-      in
+      let si = (lin * Array.length t.alloc_table) + i in
+      let k = Array.unsafe_get t.access_seq si in
+      Array.unsafe_set t.access_seq si (k + 1);
       if k < t.sample_cap then begin
         t.block_contributed <- true;
         let seg = off / t.spec.Spec.transaction_bytes in
         let key = (((t.sample_block_seq * 32) + warp) * t.sample_cap) + k in
-        match Hashtbl.find_opt s.samples key with
-        | Some (set, count) ->
-          set := Int_set.add seg !set;
-          incr count
-        | None -> Hashtbl.replace s.samples key (ref (Int_set.singleton seg), ref 1)
+        match Hashtbl.find s.samples key with
+        | smp ->
+          smp.segs <- Int_set.add seg smp.segs;
+          smp.lanes <- smp.lanes + 1
+        | exception Not_found -> Hashtbl.add s.samples key { segs = Int_set.singleton seg; lanes = 1 }
       end
     end
 
@@ -275,16 +272,16 @@ let atomic_interval t (id : int) : (int * int) option =
    is also attributed to the pinned range it hit, so the memory policy
    can weigh a specific buffer's access volume against its pin cost. *)
 let pin_stats t id =
-  match Hashtbl.find_opt t.per_pin id with
-  | Some s -> s
-  | None ->
+  match Hashtbl.find t.per_pin id with
+  | s -> s
+  | exception Not_found ->
     let s = { p_loads = 0; p_stores = 0 } in
     Hashtbl.replace t.per_pin id s;
     s
 
-let on_zerocopy_access t ~(pin : int) (acc : Cinterp.Interp.access) =
+let on_zerocopy_access t ~(pin : int) (kind : [ `Load | `Store ]) =
   let s = pin_stats t pin in
-  match acc.acc_kind with
+  match kind with
   | `Load ->
     t.zerocopy_loads <- t.zerocopy_loads + 1;
     s.p_loads <- s.p_loads + 1
@@ -302,9 +299,7 @@ let alloc_transactions t (s : alloc_stats) : float =
   if accesses = 0 then 0.0
   else begin
     let total_tx, total_sampled =
-      Hashtbl.fold
-        (fun _ (set, count) (tx, n) -> (tx + Int_set.cardinal !set, n + !count))
-        s.samples (0, 0)
+      Hashtbl.fold (fun _ smp (tx, n) -> (tx + Int_set.cardinal smp.segs, n + smp.lanes)) s.samples (0, 0)
     in
     if total_sampled = 0 then
       (* no sample: assume perfectly coalesced *)

@@ -3,11 +3,12 @@
     Instruction counts are kept per thread within the running block and
     folded into per-warp maxima at block retirement, approximating SIMT
     lockstep cost under divergence.  Global-memory coalescing is sampled
-    on the first blocks that touch memory: the k-th access of each lane
-    of a warp to a given allocation is assumed to correspond to the same
-    static memory instruction, so the distinct transaction segments
-    covered by the lanes at position k estimate the transactions issued
-    for that warp-instruction. *)
+    on every warp of the first [max_sample_blocks] simulated blocks that
+    touch global memory: the k-th access of each lane of a warp to a
+    given allocation is assumed to correspond to the same static memory
+    instruction, so the distinct transaction segments covered by the
+    lanes at position k estimate the transactions issued for that
+    warp-instruction. *)
 
 module Int_set : Set.S with type elt = int
 
@@ -31,9 +32,13 @@ type alloc_stats = {
   mutable a_store_hi : int;  (** exclusive; [lo >= hi] means no store *)
   mutable a_atomic_lo : int;  (** bytes touched by atomic RMWs *)
   mutable a_atomic_hi : int;
-  samples : (int, Int_set.t ref * int ref) Hashtbl.t;
-      (** (block, access index) -> segment set + sampled lane count *)
+  samples : (int, sample) Hashtbl.t;
+      (** keyed by (sampled block, warp, access index) *)
 }
+
+(** The transaction segments one sampled warp-instruction touched, and
+    the number of lanes that issued it. *)
+and sample = { mutable segs : Int_set.t; mutable lanes : int }
 
 (** Zero-copy traffic of one pinned range, keyed by pin id. *)
 type pin_stats = {
@@ -64,6 +69,9 @@ type t = {
       (** stats of each [alloc_table] entry, resolved by binary search *)
   mutable pinned_table : (int * int * int) array;
   mutable sample_block_seq : int;
+  mutable access_seq : int array;
+      (** per-thread access counts of the running sampled block, at
+          [lin * Array.length alloc_table + slot] *)
   mutable block_contributed : bool;
   max_sample_blocks : int;
   sample_cap : int;
@@ -74,13 +82,12 @@ val create : Spec.t -> t
 (** Sorted (offset, length, id) table used to attribute accesses. *)
 val set_alloc_table : t -> (int * int * int) array -> unit
 
-val find_alloc : t -> int -> int option
-
 (** Sorted (offset, length, id) table of pinned host ranges the device
     may access zero-copy. *)
 val set_pinned_table : t -> (int * int * int) array -> unit
 
-val find_pinned : t -> int -> int option
+(** Id of the pinned range covering a host offset, or -1. *)
+val find_pinned : t -> int -> int
 
 val begin_block : t -> int -> unit
 
@@ -88,7 +95,9 @@ val retire_block : t -> int -> unit
 
 val on_step : t -> int -> Cinterp.Interp.step -> unit
 
-val on_global_access : t -> lin:int -> seq:(int, int ref) Hashtbl.t -> Cinterp.Interp.access -> unit
+(** A global-memory access by thread [lin] of the running block: kind,
+    byte offset, byte count. *)
+val on_global_access : t -> lin:int -> [ `Load | `Store ] -> int -> int -> unit
 
 (** Record the target bytes of an atomic read-modify-write (absolute
     device offset + length); used by multi-device sharding to exchange
@@ -105,7 +114,7 @@ val atomic_interval : t -> int -> (int * int) option
 (** Count a kernel access that resolved to pinned host memory (zero-copy;
     uncached, so no coalescing sample is kept).  [pin] is the pinned
     range the access hit, so traffic is attributable per buffer. *)
-val on_zerocopy_access : t -> pin:int -> Cinterp.Interp.access -> unit
+val on_zerocopy_access : t -> pin:int -> [ `Load | `Store ] -> unit
 
 val zerocopy_accesses : t -> int
 

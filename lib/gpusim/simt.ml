@@ -36,12 +36,6 @@ type barrier = {
   mutable waiting : (unit -> unit) list;
 }
 
-type thread_state = {
-  ts_lin : int; (* linear id within block *)
-  ts_tid : dim3;
-  ts_alloc_seq : (int, int ref) Hashtbl.t; (* per-allocation access counter *)
-}
-
 (* Master/worker region descriptor registered by the master thread
    (cudadev_register_parallel) and consumed by the workers. *)
 type parallel_region = { pr_fn : string; pr_args : Value.t list; pr_nthreads : int }
@@ -133,7 +127,7 @@ let bind_dim3 (ctx : Cinterp.Interp.t) name (d : dim3) =
 (* Execute one block to completion. *)
 let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     ~(compiled : Cinterp.Jit.compiled option) ~(counters : Counters.t)
-    ~(install_builtins : Cinterp.Interp.t -> block_state -> thread_state -> unit)
+    ~(install_builtins : block_state -> (string, Cinterp.Interp.builtin) Hashtbl.t -> unit)
     ~(local_pool : Mem.t array) ~(output : Buffer.t) ~(config : launch_config) ~(block_idx : dim3)
     ~(block_lin : int) : unit =
   let n_threads = dim3_total config.lc_block in
@@ -167,6 +161,31 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
     | Some f -> f
     | None -> simt_error "kernel entry '%s' not found in kernel source" config.lc_entry
   in
+  (* Everything below up to [make_thread_body] is shared by the block's
+     threads; a thread's own state is its context and local stack. *)
+  let resolve = function
+    | Addr.Global -> mem.dm_global
+    | Addr.Shared b when b = block_lin -> bs.bs_shared
+    | Addr.Shared b -> simt_error "access to shared memory of another block (%d)" b
+    | Addr.Local i when i < Array.length local_pool -> local_pool.(i)
+    | Addr.Local i -> simt_error "access to foreign local memory %d" i
+    | Addr.Host -> (
+      match mem.dm_host with
+      | Some m -> m
+      | None -> simt_error "device code accessed host memory (missing map clause?)")
+    | Addr.Strings -> simt_error "unreachable: string arena is resolved inside the interpreter"
+  in
+  let shared_decl name ty =
+    match Hashtbl.find_opt bs.bs_shared_vars name with
+    | Some a -> a
+    | None ->
+      let a = Mem.push bs.bs_shared (Cty.sizeof source.ks_structs ty) in
+      Hashtbl.replace bs.bs_shared_vars name a;
+      a
+  in
+  let builtins = Hashtbl.create 64 in
+  Cinterp.Interp.add_common_builtins builtins;
+  install_builtins bs builtins;
   let make_thread_body lin =
     let tid =
       {
@@ -175,50 +194,26 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
         z = lin / (config.lc_block.x * config.lc_block.y);
       }
     in
-    let ts = { ts_lin = lin; ts_tid = tid; ts_alloc_seq = Hashtbl.create 4 } in
     let local = local_pool.(lin) in
     Mem.release local 16;
-    let resolve = function
-      | Addr.Global -> mem.dm_global
-      | Addr.Shared b when b = block_lin -> bs.bs_shared
-      | Addr.Shared b -> simt_error "access to shared memory of another block (%d)" b
-      | Addr.Local i when i < Array.length local_pool -> local_pool.(i)
-      | Addr.Local i -> simt_error "access to foreign local memory %d" i
-      | Addr.Host -> (
-        match mem.dm_host with
-        | Some m -> m
-        | None -> simt_error "device code accessed host memory (missing map clause?)")
-      | Addr.Strings -> simt_error "unreachable: string arena is resolved inside the interpreter"
-    in
-    let shared_decl name ty =
-      match Hashtbl.find_opt bs.bs_shared_vars name with
-      | Some a -> a
-      | None ->
-        let a = Mem.push bs.bs_shared (Cty.sizeof source.ks_structs ty) in
-        Hashtbl.replace bs.bs_shared_vars name a;
-        a
-    in
     let ctx =
-      Cinterp.Interp.create ~structs:source.ks_structs ~funcs:source.ks_funcs ~resolve ~local
-        ~shared_decl ~output ()
+      Cinterp.Interp.create ~structs:source.ks_structs ~funcs:source.ks_funcs ~resolve ~local ~builtins
+        ~thread:lin ~shared_decl ~output ()
     in
     ctx.Cinterp.Interp.on_step <- (fun k -> Counters.on_step counters lin k);
     ctx.Cinterp.Interp.on_access <-
-      (fun acc ->
-        match acc.Cinterp.Interp.acc_addr.Addr.space with
-        | Addr.Global -> Counters.on_global_access counters ~lin ~seq:ts.ts_alloc_seq acc
+      (fun kind space off bytes ->
+        match space with
+        | Addr.Global -> Counters.on_global_access counters ~lin kind off bytes
         | Addr.Shared _ -> counters.Counters.shared_accesses <- counters.Counters.shared_accesses + 1
         | Addr.Host -> (
           (* only pinned (zero-copy) ranges are reachable: dm_host is None
              otherwise and [resolve] has already faulted *)
-          match Counters.find_pinned counters acc.Cinterp.Interp.acc_addr.Addr.off with
-          | Some pin -> Counters.on_zerocopy_access counters ~pin acc
-          | None ->
-            simt_error "device code accessed unpinned host memory at %d (missing map clause?)"
-              acc.Cinterp.Interp.acc_addr.Addr.off)
+          match Counters.find_pinned counters off with
+          | -1 -> simt_error "device code accessed unpinned host memory at %d (missing map clause?)" off
+          | pin -> Counters.on_zerocopy_access counters ~pin kind)
         | Addr.Local _ | Addr.Strings ->
           counters.Counters.local_accesses <- counters.Counters.local_accesses + 1);
-    Cinterp.Interp.install_common_builtins ctx;
     Hashtbl.iter (fun name (ty, addr) -> Cinterp.Interp.register_global ctx name ty addr) source.ks_globals;
     (* base frame for the implicit thread context (threadIdx etc.) *)
     Cinterp.Interp.push_frame ctx;
@@ -226,7 +221,6 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
     bind_dim3 ctx "blockIdx" block_idx;
     bind_dim3 ctx "blockDim" config.lc_block;
     bind_dim3 ctx "gridDim" config.lc_grid;
-    install_builtins ctx bs ts;
     (* Route this thread's calls through the module's closure-compiled
        form (if any); builtins and the effects-based yield points are
        untouched, so scheduling semantics do not change. *)
@@ -252,48 +246,46 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
       (fun b -> if b.live_count && b.waiting <> [] && b.arrived >= bs.bs_live then trip_barrier b)
       bs.bs_barriers
   in
-  let spawn body =
-    Queue.add
-      (fun () ->
-        match_with body ()
-          {
-            retc =
-              (fun () ->
-                bs.bs_live <- bs.bs_live - 1;
-                recheck_live_barriers ());
-            exnc = raise;
-            effc =
-              (fun (type a) (eff : a Effect.t) ->
-                match eff with
-                | Bar_sync (id, expected) ->
-                  Some
-                    (fun (k : (a, _) continuation) ->
-                      if id < 0 || id >= Array.length bs.bs_barriers then
-                        simt_error "bar.sync id %d out of range" id;
-                      let b = bs.bs_barriers.(id) in
-                      (* expected <= 0 means "all currently live threads"
-                         (__syncthreads semantics): refreshed on every
-                         arrival and whenever a thread retires. *)
-                      if expected <= 0 then begin
-                        b.expected <- bs.bs_live;
-                        b.live_count <- true
-                      end
-                      else if b.expected = -1 then b.expected <- expected
-                      else if b.expected <> expected then
-                        simt_error "barrier %d: mismatched participant counts (%d vs %d)" id
-                          b.expected expected;
-                      b.arrived <- b.arrived + 1;
-                      if b.arrived >= b.expected then begin
-                        b.waiting <- (fun () -> continue k ()) :: b.waiting;
-                        trip_barrier b
-                      end
-                      else b.waiting <- (fun () -> continue k ()) :: b.waiting)
-                | Yield ->
-                  Some (fun (k : (a, _) continuation) -> Queue.add (fun () -> continue k ()) bs.bs_runq)
-                | _ -> None);
-          })
-      bs.bs_runq
+  (* one handler for every thread of the block *)
+  let handler : (unit, unit) handler =
+    {
+      retc =
+        (fun () ->
+          bs.bs_live <- bs.bs_live - 1;
+          recheck_live_barriers ());
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Bar_sync (id, expected) ->
+            Some
+              (fun (k : (a, _) continuation) ->
+                if id < 0 || id >= Array.length bs.bs_barriers then
+                  simt_error "bar.sync id %d out of range" id;
+                let b = bs.bs_barriers.(id) in
+                (* expected <= 0 means "all currently live threads"
+                   (__syncthreads semantics): refreshed on every
+                   arrival and whenever a thread retires. *)
+                if expected <= 0 then begin
+                  b.expected <- bs.bs_live;
+                  b.live_count <- true
+                end
+                else if b.expected = -1 then b.expected <- expected
+                else if b.expected <> expected then
+                  simt_error "barrier %d: mismatched participant counts (%d vs %d)" id
+                    b.expected expected;
+                b.arrived <- b.arrived + 1;
+                if b.arrived >= b.expected then begin
+                  b.waiting <- (fun () -> continue k ()) :: b.waiting;
+                  trip_barrier b
+                end
+                else b.waiting <- (fun () -> continue k ()) :: b.waiting)
+          | Yield ->
+            Some (fun (k : (a, _) continuation) -> Queue.add (fun () -> continue k ()) bs.bs_runq)
+          | _ -> None);
+    }
   in
+  let spawn body = Queue.add (fun () -> match_with body () handler) bs.bs_runq in
   for lin = 0 to n_threads - 1 do
     spawn (make_thread_body lin)
   done;
@@ -318,7 +310,7 @@ let run_block ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source
 (* Launch a kernel over the whole grid (subject to the block filter). *)
 let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
     ?(compiled : Cinterp.Jit.compiled option) ~(counters : Counters.t)
-    ~(install_builtins : Cinterp.Interp.t -> block_state -> thread_state -> unit)
+    ~(install_builtins : block_state -> (string, Cinterp.Interp.builtin) Hashtbl.t -> unit)
     ~(output : Buffer.t) (config : launch_config) : unit =
   ensure_dim3 source.ks_structs;
   let n_threads = dim3_total config.lc_block in
@@ -339,8 +331,10 @@ let launch ~(spec : Spec.t) ~(mem : device_memories) ~(source : kernel_source)
           match config.lc_block_filter with None -> true | Some f -> f block_lin
         in
         if simulate then begin
-          (* sample warp 0 of the first blocks that actually touch
-             global memory (fully guarded-out warps teach us nothing) *)
+          (* sample every warp of the first [max_sample_blocks] blocks
+             that actually touch global memory (a block whose threads
+             are all guarded out teaches us nothing, so it does not use
+             up a sampling slot) *)
           if !sampled_blocks < counters.Counters.max_sample_blocks then begin
             counters.Counters.sample_block_seq <- !sampled_blocks;
             counters.Counters.block_contributed <- false

@@ -46,12 +46,6 @@ type barrier = {
   mutable waiting : (unit -> unit) list;
 }
 
-type thread_state = {
-  ts_lin : int;  (** linear id within the block *)
-  ts_tid : dim3;
-  ts_alloc_seq : (int, int ref) Hashtbl.t;  (** per-allocation access counters *)
-}
-
 (** Master/worker region descriptor registered by the master thread
     (cudadev_register_parallel) and consumed by the workers. *)
 type parallel_region = { pr_fn : string; pr_args : Value.t list; pr_nthreads : int }
@@ -112,7 +106,7 @@ val launch :
   source:kernel_source ->
   ?compiled:Cinterp.Jit.compiled ->
   counters:Counters.t ->
-  install_builtins:(Cinterp.Interp.t -> block_state -> thread_state -> unit) ->
+  install_builtins:(block_state -> (string, Cinterp.Interp.builtin) Hashtbl.t -> unit) ->
   output:Buffer.t ->
   launch_config ->
   unit

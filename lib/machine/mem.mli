@@ -5,6 +5,11 @@
     thread-local stacks use the {!push}/{!mark}/{!release} stack
     discipline.  Offset 0 is reserved so a zero offset can act as NULL. *)
 
+(** Recently loaded pointer values, direct-mapped on the raw address
+    word: a hit (same word, same pointee type) returns the cached
+    [Value.VPtr] instead of building a new one. *)
+type ptr_cache = { pc_words : int array; pc_vals : Value.t array }
+
 type t = {
   name : string;
   space : Addr.space;
@@ -13,6 +18,9 @@ type t = {
   mutable free_list : (int * int) list;
   sizes : (int, int) Hashtbl.t;
   mutable limit : int;
+  ptr_cache : ptr_cache;
+      (** pointer-load cache of this memory; the executor passes each
+          thread's local-stack cache, so no cache is shared by threads *)
 }
 
 exception Out_of_memory of string
@@ -51,6 +59,14 @@ val release : t -> int -> unit
 val load_scalar : t -> Cty.layout_env -> Addr.t -> Cty.t -> Value.t
 
 val store_scalar : t -> Cty.layout_env -> Addr.t -> Cty.t -> Value.t -> unit
+
+(** Scalar load at a byte offset, without building an address; pointer
+    loads are served through the given cache.  Raises {!Bad_access} on
+    non-scalar types. *)
+val load_at : t -> ptr_cache -> int -> Cty.t -> Value.t
+
+(** Scalar store at a byte offset. *)
+val store_at : t -> int -> Cty.t -> Value.t -> unit
 
 (** {1 Bulk transfer} *)
 
