@@ -177,6 +177,26 @@ let test_mem_scalar_roundtrip () =
   check_bool "pointer roundtrip" true
     (Addr.equal p (Value.as_addr (Mem.load_scalar m e (Addr.add a 24) (Cty.Ptr Cty.Float))))
 
+(* Pointer loads through a cache: a repeated load of the same word and
+   pointee type returns the cached value itself; the same word loaded
+   as another pointee type, or a rewritten word, is a fresh value. *)
+let test_mem_ptr_cache () =
+  let m = Mem.create ~space:(Addr.Local 0) "stack" in
+  let a = Mem.push m 8 in
+  let p = { Addr.space = Addr.Shared 3; off = 4242 } in
+  Mem.store_at m a.Addr.off (Cty.Ptr Cty.Float) (Value.ptr p);
+  let load ty = Mem.load_at m m.Mem.ptr_cache a.Addr.off (Cty.Ptr ty) in
+  let f1 = load Cty.Float in
+  check_bool "float pointer" true (f1 = Value.VPtr (p, Cty.Float));
+  check_bool "repeat load reuses the value" true (load Cty.Float == f1);
+  check_bool "other pointee type" true (load Cty.Int = Value.VPtr (p, Cty.Int));
+  let q = Addr.add p 4 in
+  Mem.store_at m a.Addr.off (Cty.Ptr Cty.Float) (Value.ptr q);
+  check_bool "rewritten word" true (load Cty.Float = Value.VPtr (q, Cty.Float));
+  Mem.store_at m a.Addr.off Cty.Long (Value.int ~ty:Cty.Long 0x7F00_0000_0000_0001L);
+  check_bool "non-address word rejected" true
+    (match load Cty.Float with exception Invalid_argument _ -> true | _ -> false)
+
 let test_mem_stack () =
   let m = Mem.create ~space:(Addr.Local 0) "stack" in
   let mark = Mem.mark m in
@@ -255,6 +275,7 @@ let () =
           Alcotest.test_case "double free" `Quick test_mem_double_free;
           Alcotest.test_case "capacity limit" `Quick test_mem_limit;
           Alcotest.test_case "scalar roundtrips" `Quick test_mem_scalar_roundtrip;
+          Alcotest.test_case "pointer-load cache" `Quick test_mem_ptr_cache;
           Alcotest.test_case "stack discipline" `Quick test_mem_stack;
           Alcotest.test_case "bounds checking" `Quick test_mem_bounds;
           QCheck_alcotest.to_alcotest prop_alloc_no_overlap;
