@@ -29,17 +29,20 @@ let tag_of_space = function Host -> 0 | Global -> 1 | Shared _ -> 2 | Local _ ->
 
 let id_of_space = function Host | Global | Strings -> 0 | Shared i | Local i -> i
 
-let to_int64 a =
-  let tag = tag_of_space a.space and id = id_of_space a.space in
-  Int64.(
-    logor
-      (shift_left (of_int tag) 56)
-      (logor (shift_left (of_int (id land 0xFFFFFF)) 32) (logand (of_int a.off) 0xFFFFFFFFL)))
+(* The same encoding as a native int: a valid address word is below
+   2^62 (tag <= 4), so it fits without boxing. *)
+let to_word a =
+  (tag_of_space a.space lsl 56) lor ((id_of_space a.space land 0xFFFFFF) lsl 32) lor (a.off land 0xFFFFFFFF)
 
-let of_int64 i =
-  let tag = Int64.(to_int (shift_right_logical i 56)) land 0xFF in
-  let id = Int64.(to_int (shift_right_logical i 32)) land 0xFFFFFF in
-  let off = Int64.(to_int (logand i 0xFFFFFFFFL)) in
+let to_int64 a = Int64.of_int (to_word a)
+
+let bad_tag n = invalid_arg (Printf.sprintf "Addr.of_int64: bad space tag %d" n)
+
+(* [w] must be non-negative (a word whose tag is below 0x40). *)
+let of_word w =
+  let tag = (w lsr 56) land 0xFF in
+  let id = (w lsr 32) land 0xFFFFFF in
+  let off = w land 0xFFFFFFFF in
   let space =
     match tag with
     | 0 -> Host
@@ -47,6 +50,11 @@ let of_int64 i =
     | 2 -> Shared id
     | 3 -> Local id
     | 4 -> Strings
-    | n -> invalid_arg (Printf.sprintf "Addr.of_int64: bad space tag %d" n)
+    | n -> bad_tag n
   in
   { space; off }
+
+let of_int64 i =
+  let tag = Int64.(to_int (shift_right_logical i 56)) land 0xFF in
+  if tag > 4 then bad_tag tag;
+  of_word (Int64.to_int i)

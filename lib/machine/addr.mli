@@ -47,3 +47,9 @@ val diff : t -> t -> int
 val to_int64 : t -> int64
 
 val of_int64 : int64 -> t
+
+(** The same encoding as a native int, without boxing.  Every address
+    word is below 2^62; [of_word] takes such a non-negative word. *)
+val to_word : t -> int
+
+val of_word : int -> t
